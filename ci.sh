@@ -18,6 +18,13 @@ cargo build --release --locked
 echo "==> cargo test"
 cargo test -q --locked
 
+echo "==> benchmark crate tests (compiles it against the workspace crates)"
+# benchmark/ is a workspace of its own: the root build and test above never
+# compile it, so an API change that breaks it would otherwise only show up
+# when the benchmark runs.
+CARGO_TARGET_DIR=.bench_build \
+  cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml
+
 echo "==> smoke: budget-interrupted anonymize (exit 3, termination report)"
 PSENS=target/release/psens
 SMOKE_DIR="$(mktemp -d)"

@@ -12,7 +12,7 @@
 
 use crate::recode::recode_partitions;
 use psens_core::observe::{elapsed_since, start_timer};
-use psens_core::{NoopObserver, SearchBudget, SearchObserver, Termination};
+use psens_core::{SearchBudget, SearchObserver, Termination};
 use psens_microdata::hash::FxHashSet;
 use psens_microdata::{Column, Table, Value};
 use serde::Serialize;
@@ -215,32 +215,17 @@ impl<'a> SensitivityTracker<'a> {
     }
 }
 
-/// Runs greedy p-k clustering over `initial`, using its schema's roles.
-pub fn greedy_pk_cluster(
-    initial: &Table,
-    config: GreedyClusterConfig,
-) -> Result<GreedyClusterOutcome, ClusterError> {
-    greedy_pk_cluster_observed(initial, config, &NoopObserver)
-}
-
-/// [`greedy_pk_cluster`], reporting each finished cluster (row count and
-/// build time) to `observer`. With a [`NoopObserver`] this monomorphizes to
-/// the unobserved run.
-pub fn greedy_pk_cluster_observed<O: SearchObserver>(
-    initial: &Table,
-    config: GreedyClusterConfig,
-    observer: &O,
-) -> Result<GreedyClusterOutcome, ClusterError> {
-    greedy_pk_cluster_budgeted(initial, config, &SearchBudget::unlimited(), observer)
-}
-
-/// [`greedy_pk_cluster_observed`] under a [`SearchBudget`]. Each record
-/// assignment (seed or growth step) draws one coarse budget unit — every
-/// assignment scans the unassigned pool, so the deadline and cancel token
-/// are polled on each. A trip after the first complete cluster yields the
-/// anytime result described on [`GreedyClusterOutcome::termination`]; a trip
-/// before it is [`ClusterError::Interrupted`].
-pub fn greedy_pk_cluster_budgeted<O: SearchObserver>(
+/// Runs greedy p-k clustering over `initial`, using its schema's roles,
+/// reporting each finished cluster (row count and build time) to
+/// `observer`.
+///
+/// Each record assignment (seed or growth step) draws one coarse unit from
+/// `budget` — every assignment scans the unassigned pool, so the deadline
+/// and cancel token are polled on each. A trip after the first complete
+/// cluster yields the anytime result described on
+/// [`GreedyClusterOutcome::termination`]; a trip before it is
+/// [`ClusterError::Interrupted`].
+pub fn greedy_pk_cluster<O: SearchObserver>(
     initial: &Table,
     config: GreedyClusterConfig,
     budget: &SearchBudget,
@@ -389,14 +374,21 @@ pub fn greedy_pk_cluster_budgeted<O: SearchObserver>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psens_core::is_p_sensitive_k_anonymous;
+    use psens_core::{is_p_sensitive_k_anonymous, NoopObserver};
+
+    fn greedy(
+        im: &Table,
+        config: GreedyClusterConfig,
+    ) -> Result<GreedyClusterOutcome, ClusterError> {
+        greedy_pk_cluster(im, config, &SearchBudget::unlimited(), &NoopObserver)
+    }
     use psens_datasets::paper::figure3_microdata;
     use psens_datasets::AdultGenerator;
 
     #[test]
     fn output_satisfies_the_property() {
         let im = AdultGenerator::new(61).generate(400);
-        let outcome = greedy_pk_cluster(&im, GreedyClusterConfig { k: 4, p: 2 }).unwrap();
+        let outcome = greedy(&im, GreedyClusterConfig { k: 4, p: 2 }).unwrap();
         let keys = outcome.masked.schema().key_indices();
         let conf = outcome.masked.schema().confidential_indices();
         assert!(is_p_sensitive_k_anonymous(
@@ -412,7 +404,7 @@ mod tests {
     #[test]
     fn partitions_are_a_disjoint_cover() {
         let im = AdultGenerator::new(62).generate(300);
-        let outcome = greedy_pk_cluster(&im, GreedyClusterConfig { k: 5, p: 2 }).unwrap();
+        let outcome = greedy(&im, GreedyClusterConfig { k: 5, p: 2 }).unwrap();
         let mut seen = vec![false; 300];
         for cluster in &outcome.partitions {
             assert!(cluster.len() >= 5);
@@ -427,7 +419,7 @@ mod tests {
     #[test]
     fn works_on_the_paper_fixture() {
         let im = figure3_microdata();
-        let outcome = greedy_pk_cluster(&im, GreedyClusterConfig { k: 2, p: 2 }).unwrap();
+        let outcome = greedy(&im, GreedyClusterConfig { k: 2, p: 2 }).unwrap();
         let keys = outcome.masked.schema().key_indices();
         let conf = outcome.masked.schema().confidential_indices();
         assert!(is_p_sensitive_k_anonymous(
@@ -443,7 +435,7 @@ mod tests {
     fn impossible_p_is_rejected_up_front() {
         let im = AdultGenerator::new(63).generate(100);
         // Pay has 2 distinct values.
-        let err = greedy_pk_cluster(&im, GreedyClusterConfig { k: 2, p: 3 }).unwrap_err();
+        let err = greedy(&im, GreedyClusterConfig { k: 2, p: 3 }).unwrap_err();
         assert!(matches!(err, ClusterError::ImpossibleP { .. }));
         assert!(err.to_string().contains("distinct"));
     }
@@ -451,7 +443,7 @@ mod tests {
     #[test]
     fn too_few_rows_is_rejected() {
         let im = AdultGenerator::new(64).generate(3);
-        let err = greedy_pk_cluster(&im, GreedyClusterConfig { k: 10, p: 1 }).unwrap_err();
+        let err = greedy(&im, GreedyClusterConfig { k: 10, p: 1 }).unwrap_err();
         assert!(matches!(err, ClusterError::TooFewRows { rows: 3 }));
     }
 
@@ -459,11 +451,11 @@ mod tests {
     fn interrupted_run_still_satisfies_the_property() {
         let im = AdultGenerator::new(66).generate(400);
         let config = GreedyClusterConfig { k: 4, p: 2 };
-        let full = greedy_pk_cluster(&im, config).unwrap();
+        let full = greedy(&im, config).unwrap();
         assert_eq!(full.termination, Termination::Completed);
         // Enough budget for a few clusters, nowhere near all of them.
         let budget = SearchBudget::unlimited().with_max_nodes(30);
-        let outcome = greedy_pk_cluster_budgeted(&im, config, &budget, &NoopObserver).unwrap();
+        let outcome = greedy_pk_cluster(&im, config, &budget, &NoopObserver).unwrap();
         assert_eq!(outcome.termination, Termination::NodeBudgetExhausted);
         assert!(outcome.partitions.len() < full.partitions.len());
         // All rows covered, property intact (merging only grows clusters).
@@ -483,7 +475,7 @@ mod tests {
     fn budget_too_small_for_one_cluster_is_interrupted() {
         let im = AdultGenerator::new(67).generate(100);
         let budget = SearchBudget::unlimited().with_max_nodes(2);
-        let err = greedy_pk_cluster_budgeted(
+        let err = greedy_pk_cluster(
             &im,
             GreedyClusterConfig { k: 10, p: 2 },
             &budget,
@@ -501,7 +493,7 @@ mod tests {
         // Both local recoders must beat full-domain generalization on group
         // count; greedy clustering usually lands near n / k clusters.
         let im = AdultGenerator::new(65).generate(500);
-        let greedy = greedy_pk_cluster(&im, GreedyClusterConfig { k: 5, p: 2 }).unwrap();
+        let greedy = greedy(&im, GreedyClusterConfig { k: 5, p: 2 }).unwrap();
         // Clusters average a few multiples of k: the skewed confidential
         // attributes (CapitalGain is ~92% zero) force growth beyond k, but
         // nothing like the single-digit group counts of full-domain nodes.

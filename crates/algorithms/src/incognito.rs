@@ -20,10 +20,8 @@
 //! k-anonymity on a subset cannot satisfy p-sensitive k-anonymity on the
 //! full set).
 
-use crate::tuning::Tuning;
-use psens_core::evaluator::EvalContext;
-use psens_core::masking::MaskingContext;
-use psens_core::{ModelSpec, NoopObserver, SearchBudget, SearchObserver, Termination};
+use crate::request::{SearchRequest, Setup};
+use psens_core::{SearchObserver, Termination};
 use psens_hierarchy::{Node, QiCodeMaps, QiSpace};
 use psens_microdata::hash::{FxHashMap, FxHashSet};
 use psens_microdata::{CodeCombiner, Table};
@@ -67,97 +65,27 @@ type SubsetNode = Vec<u8>;
 
 /// Runs Incognito over the table's QI space.
 ///
-/// Finds **all** p-sensitive k-anonymous full-domain generalizations'
-/// minimal elements, like [`crate::levelwise::levelwise_minimal`], but prunes
+/// Finds **all** minimal full-domain generalizations satisfying
+/// `req.model`, like [`crate::levelwise::levelwise_minimal`], but prunes
 /// through attribute subsets first — on wide QI sets this evaluates far
-/// fewer frequency sets.
-pub fn incognito_minimal(
+/// fewer frequency sets. Subset pruning stays pure k-anonymity (sound for
+/// any model that requires k-anonymity); the model is checked only at the
+/// full-QI confirmation stage.
+///
+/// Each subset frequency-set evaluation and each full-QI confirmation check
+/// draws one node from `req.budget`. Only the confirmation stage reports to
+/// `observer` and consults `req.tuning.cache` (inferred verdicts accepted —
+/// only the satisfaction boolean matters here): the subset-pruning phase
+/// works on projected frequency sets, which the full-lattice store cannot
+/// describe and [`IncognitoStats`] tallies instead. `req.tuning.threads` is
+/// ignored (the subset walk is inherently sequential through `passing`).
+pub fn incognito_minimal<O: SearchObserver>(
     initial: &Table,
     qi: &QiSpace,
-    p: u32,
-    k: u32,
-    ts: usize,
-) -> Result<IncognitoOutcome, psens_hierarchy::Error> {
-    incognito_minimal_observed(initial, qi, p, k, ts, &NoopObserver)
-}
-
-/// [`incognito_minimal`], reporting the full-QI confirmation stage's events
-/// to `observer` (the subset-pruning phase does per-subset frequency-set
-/// work, not node checks, and is tallied by [`IncognitoStats`] instead).
-/// With a [`NoopObserver`] this monomorphizes to the unobserved search.
-pub fn incognito_minimal_observed<O: SearchObserver>(
-    initial: &Table,
-    qi: &QiSpace,
-    p: u32,
-    k: u32,
-    ts: usize,
+    req: &SearchRequest<'_>,
     observer: &O,
 ) -> Result<IncognitoOutcome, psens_hierarchy::Error> {
-    incognito_minimal_budgeted(initial, qi, p, k, ts, &SearchBudget::unlimited(), observer)
-}
-
-/// [`incognito_minimal_observed`] under a [`SearchBudget`]. Each subset
-/// frequency-set evaluation and each full-QI confirmation check draws one
-/// node from the budget.
-#[allow(clippy::too_many_arguments)]
-pub fn incognito_minimal_budgeted<O: SearchObserver>(
-    initial: &Table,
-    qi: &QiSpace,
-    p: u32,
-    k: u32,
-    ts: usize,
-    budget: &SearchBudget,
-    observer: &O,
-) -> Result<IncognitoOutcome, psens_hierarchy::Error> {
-    incognito_minimal_tuned(initial, qi, p, k, ts, budget, Tuning::default(), observer)
-}
-
-/// [`incognito_minimal_budgeted`] consulting (and warming) the optional
-/// shared [`psens_core::verdict::VerdictStore`] in `tuning.cache` during the
-/// full-QI confirmation stage. Inferred verdicts are accepted — only the
-/// satisfaction boolean matters here. The subset-pruning phase works on
-/// projected frequency sets, which the full-lattice store cannot describe,
-/// so it never consults the cache; `tuning.threads` is likewise ignored (the
-/// subset walk is inherently sequential through `passing`).
-#[allow(clippy::too_many_arguments)]
-pub fn incognito_minimal_tuned<O: SearchObserver>(
-    initial: &Table,
-    qi: &QiSpace,
-    p: u32,
-    k: u32,
-    ts: usize,
-    budget: &SearchBudget,
-    tuning: Tuning<'_>,
-    observer: &O,
-) -> Result<IncognitoOutcome, psens_hierarchy::Error> {
-    incognito_minimal_model(
-        initial,
-        qi,
-        ModelSpec::PSensitiveK { p },
-        k,
-        ts,
-        budget,
-        tuning,
-        observer,
-    )
-}
-
-/// [`incognito_minimal_tuned`] generalized over the pluggable privacy
-/// models. Subset pruning stays pure k-anonymity (sound for any model that
-/// requires k-anonymity); `spec` replaces the p-sensitivity check at the
-/// full-QI confirmation stage. `ModelSpec::PSensitiveK` reproduces the
-/// p-sensitive search bit-for-bit.
-#[allow(clippy::too_many_arguments)]
-pub fn incognito_minimal_model<O: SearchObserver>(
-    initial: &Table,
-    qi: &QiSpace,
-    spec: ModelSpec,
-    k: u32,
-    ts: usize,
-    budget: &SearchBudget,
-    tuning: Tuning<'_>,
-    observer: &O,
-) -> Result<IncognitoOutcome, psens_hierarchy::Error> {
+    let (k, ts) = (req.k, req.ts);
     let m = qi.len();
     assert!(m <= 16, "QI sets wider than 16 attributes are unsupported");
     let mut stats = IncognitoStats {
@@ -170,14 +98,12 @@ pub fn incognito_minimal_model<O: SearchObserver>(
     // temporary tables.
     let max_levels: Vec<usize> = (0..m).map(|i| qi.hierarchy(i).max_level()).collect();
     let maps = qi.code_maps(initial)?;
-    let mut combiner = CodeCombiner::new();
-    let mut current: Vec<u32> = Vec::new();
-    let mut sizes: Vec<u32> = Vec::new();
+    let mut scratch = SubsetScratch::default();
 
     // passing[mask] = set of subset nodes that are k-anonymous (within ts)
     // w.r.t. the attributes of `mask`.
     let mut passing: FxHashMap<u16, FxHashSet<SubsetNode>> = FxHashMap::default();
-    let state = budget.start();
+    let state = req.budget.start();
 
     'subsets: for mask in 1u16..(1 << m) {
         let members: Vec<usize> = (0..m).filter(|&i| mask & (1 << i) != 0).collect();
@@ -218,16 +144,7 @@ pub fn incognito_minimal_model<O: SearchObserver>(
                 break 'subsets;
             }
             stats.evaluated_by_size[size - 1] += 1;
-            if subset_is_anonymous(
-                &members,
-                &levels,
-                &maps,
-                k,
-                ts,
-                &mut combiner,
-                &mut current,
-                &mut sizes,
-            ) {
+            if scratch.is_anonymous(&members, &levels, &maps, k, ts) {
                 passed.insert(levels);
             }
         }
@@ -237,17 +154,8 @@ pub fn incognito_minimal_model<O: SearchObserver>(
     // Full-QI survivors: confirm the model's group property on the
     // materialized masking.
     let full_mask = (1u16 << m) - 1;
-    let ctx = MaskingContext {
-        initial,
-        qi,
-        k,
-        p: spec.conditions_p(),
-        ts,
-    };
-    let im_stats = ctx.initial_stats();
-    let ectx = tuning
-        .configure(EvalContext::build_observed(&ctx, observer)?)
-        .with_model(spec);
+    let setup = Setup::new(initial, qi, req);
+    let ectx = setup.eval_context(observer)?;
     let mut eval = ectx.evaluator();
     let mut satisfying: Vec<Node> = Vec::new();
     // `full_mask` is the last subset processed; it is absent exactly when
@@ -259,7 +167,14 @@ pub fn incognito_minimal_model<O: SearchObserver>(
     survivors.sort();
     for levels in survivors {
         let node = Node(levels.clone());
-        match eval.check_cached(&node, &im_stats, &state, tuning.cache, true, observer)? {
+        match eval.check_cached(
+            &node,
+            &setup.check_stats,
+            &state,
+            req.tuning.cache,
+            true,
+            observer,
+        )? {
             ControlFlow::Break(_) => break,
             ControlFlow::Continue(cc) => {
                 if cc.satisfied {
@@ -273,8 +188,7 @@ pub fn incognito_minimal_model<O: SearchObserver>(
             }
         }
     }
-    let lattice = qi.lattice();
-    let minimal = lattice.minimal_elements(&satisfying);
+    let minimal = setup.lattice.minimal_elements(&satisfying);
     Ok(IncognitoOutcome {
         minimal,
         stats,
@@ -282,46 +196,75 @@ pub fn incognito_minimal_model<O: SearchObserver>(
     })
 }
 
-/// Is the projection of the masking onto `members` (at `levels`) k-anonymous
-/// after suppressing at most `ts` tuples?
-///
-/// Pure code work: refine the row partition with each member's level map,
-/// then count rows in undersized groups. `combiner`/`current`/`sizes` are
-/// caller-owned scratch, reused across the thousands of subset nodes a run
-/// visits.
-#[allow(clippy::too_many_arguments)]
-fn subset_is_anonymous(
-    members: &[usize],
-    levels: &[u8],
-    maps: &QiCodeMaps,
-    k: u32,
-    ts: usize,
-    combiner: &mut CodeCombiner,
-    current: &mut Vec<u32>,
-    sizes: &mut Vec<u32>,
-) -> bool {
-    let n = maps.n_rows();
-    current.clear();
-    current.resize(n, 0);
-    let mut n_groups = u32::from(n > 0);
-    for (&attr, &level) in members.iter().zip(levels) {
-        let am = maps.attr(attr);
-        let lm = am.level(level as usize);
-        n_groups = combiner.refine_mapped(current, n_groups, am.base(), lm.map(), lm.n_codes());
+/// Caller-owned scratch for subset checks, reused across the thousands of
+/// subset nodes a run visits.
+#[derive(Default)]
+struct SubsetScratch {
+    combiner: CodeCombiner,
+    /// `current[r]`: row r's group id under the subset being checked.
+    current: Vec<u32>,
+    /// Group sizes, indexed by group id.
+    sizes: Vec<u32>,
+}
+
+impl SubsetScratch {
+    /// Is the projection of the masking onto `members` (at `levels`)
+    /// k-anonymous after suppressing at most `ts` tuples?
+    ///
+    /// Pure code work: refine the row partition with each member's level
+    /// map, then count rows in undersized groups.
+    fn is_anonymous(
+        &mut self,
+        members: &[usize],
+        levels: &[u8],
+        maps: &QiCodeMaps,
+        k: u32,
+        ts: usize,
+    ) -> bool {
+        let n = maps.n_rows();
+        self.current.clear();
+        self.current.resize(n, 0);
+        let mut n_groups = u32::from(n > 0);
+        for (&attr, &level) in members.iter().zip(levels) {
+            let am = maps.attr(attr);
+            let lm = am.level(level as usize);
+            n_groups = self.combiner.refine_mapped(
+                &mut self.current,
+                n_groups,
+                am.base(),
+                lm.map(),
+                lm.n_codes(),
+            );
+        }
+        self.sizes.clear();
+        self.sizes.resize(n_groups as usize, 0);
+        for &g in &self.current {
+            self.sizes[g as usize] += 1;
+        }
+        let violating: usize = self
+            .sizes
+            .iter()
+            .filter(|&&s| s < k)
+            .map(|&s| s as usize)
+            .sum();
+        violating <= ts
     }
-    sizes.clear();
-    sizes.resize(n_groups as usize, 0);
-    for &g in current.iter() {
-        sizes[g as usize] += 1;
-    }
-    let violating: usize = sizes.iter().filter(|&&s| s < k).map(|&s| s as usize).sum();
-    violating <= ts
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exhaustive::exhaustive_scan;
+    use psens_core::masking::MaskingContext;
+    use psens_core::{ModelSpec, NoopObserver, SearchBudget};
+
+    fn request(p: u32, k: u32, ts: usize) -> SearchRequest<'static> {
+        SearchRequest::new(ModelSpec::PSensitiveK { p }, k, ts)
+    }
+
+    fn incognito(im: &Table, qi: &QiSpace, p: u32, k: u32, ts: usize) -> IncognitoOutcome {
+        incognito_minimal(im, qi, &request(p, k, ts), &NoopObserver).unwrap()
+    }
     use psens_datasets::hierarchies::{adult_qi_space, figure2_qi_space};
     use psens_datasets::paper::figure3_microdata;
     use psens_datasets::AdultGenerator;
@@ -331,8 +274,10 @@ mod tests {
         let im = figure3_microdata();
         let qi = figure2_qi_space();
         for ts in 0..=10usize {
-            let mut truth = exhaustive_scan(&im, &qi, 1, 3, ts).unwrap().minimal;
-            let mut ours = incognito_minimal(&im, &qi, 1, 3, ts).unwrap().minimal;
+            let mut truth = exhaustive_scan(&im, &qi, &request(1, 3, ts), &NoopObserver)
+                .unwrap()
+                .minimal;
+            let mut ours = incognito(&im, &qi, 1, 3, ts).minimal;
             truth.sort();
             ours.sort();
             assert_eq!(truth, ours, "TS = {ts}");
@@ -344,8 +289,10 @@ mod tests {
         let im = figure3_microdata();
         let qi = figure2_qi_space();
         for p in 1..=3u32 {
-            let mut truth = exhaustive_scan(&im, &qi, p, 2, 2).unwrap().minimal;
-            let mut ours = incognito_minimal(&im, &qi, p, 2, 2).unwrap().minimal;
+            let mut truth = exhaustive_scan(&im, &qi, &request(p, 2, 2), &NoopObserver)
+                .unwrap()
+                .minimal;
+            let mut ours = incognito(&im, &qi, p, 2, 2).minimal;
             truth.sort();
             ours.sort();
             assert_eq!(truth, ours, "p = {p}");
@@ -357,8 +304,10 @@ mod tests {
         let im = AdultGenerator::new(41).generate(250);
         let qi = adult_qi_space();
         for (p, k, ts) in [(1u32, 2u32, 0usize), (2, 2, 12)] {
-            let mut truth = exhaustive_scan(&im, &qi, p, k, ts).unwrap().minimal;
-            let mut ours = incognito_minimal(&im, &qi, p, k, ts).unwrap().minimal;
+            let mut truth = exhaustive_scan(&im, &qi, &request(p, k, ts), &NoopObserver)
+                .unwrap()
+                .minimal;
+            let mut ours = incognito(&im, &qi, p, k, ts).minimal;
             truth.sort();
             ours.sort();
             assert_eq!(truth, ours, "p={p} k={k} ts={ts}");
@@ -369,7 +318,7 @@ mod tests {
     fn pruning_counters_are_active() {
         let im = AdultGenerator::new(43).generate(300);
         let qi = adult_qi_space();
-        let outcome = incognito_minimal(&im, &qi, 1, 3, 0).unwrap();
+        let outcome = incognito(&im, &qi, 1, 3, 0);
         assert!(outcome.stats.pruned_apriori > 0, "{:?}", outcome.stats);
         assert!(outcome.stats.pruned_rollup > 0, "{:?}", outcome.stats);
         // The full-QI stratum must evaluate fewer nodes than the lattice has.
@@ -380,7 +329,7 @@ mod tests {
     fn unsatisfiable_instances_return_empty() {
         let im = figure3_microdata();
         let qi = figure2_qi_space();
-        let outcome = incognito_minimal(&im, &qi, 1, 11, 0).unwrap();
+        let outcome = incognito(&im, &qi, 1, 11, 0);
         assert!(outcome.minimal.is_empty());
         assert_eq!(outcome.termination, Termination::Completed);
     }
@@ -391,15 +340,17 @@ mod tests {
         let qi = figure2_qi_space();
         let keys = im.schema().key_indices();
         let conf = im.schema().confidential_indices();
-        let full = incognito_minimal(&im, &qi, 2, 2, 2).unwrap();
+        let full = incognito(&im, &qi, 2, 2, 2);
         assert_eq!(full.termination, Termination::Completed);
         let evaluated: u64 = full.stats.evaluated_by_size.iter().sum::<usize>() as u64
             + full.minimal.len() as u64
             + full.stats.failed_sensitivity as u64;
         for max_nodes in 0..evaluated {
-            let budget = SearchBudget::unlimited().with_max_nodes(max_nodes);
-            let outcome =
-                incognito_minimal_budgeted(&im, &qi, 2, 2, 2, &budget, &NoopObserver).unwrap();
+            let req = SearchRequest {
+                budget: SearchBudget::unlimited().with_max_nodes(max_nodes),
+                ..request(2, 2, 2)
+            };
+            let outcome = incognito_minimal(&im, &qi, &req, &NoopObserver).unwrap();
             assert_eq!(outcome.termination, Termination::NodeBudgetExhausted);
             // Anytime guarantee: anything reported satisfies the property.
             let ctx = MaskingContext {

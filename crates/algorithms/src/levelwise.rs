@@ -9,18 +9,14 @@
 //! As in the paper's Algorithm 3, the per-node check is Algorithm 2, so the
 //! two necessary conditions prune candidates here as well.
 
+use crate::request::{SearchRequest, Setup};
 use crate::stats::SearchStats;
-use crate::tuning::Tuning;
-use psens_core::budget::BudgetState;
-use psens_core::conditions::ConfidentialStats;
-use psens_core::evaluator::EvalContext;
-use psens_core::masking::MaskingContext;
-use psens_core::{ModelSpec, NoopObserver, SearchBudget, SearchObserver, Termination};
+use crate::stratum::check_stratum;
+use psens_core::{SearchObserver, Termination};
 use psens_hierarchy::{Node, QiSpace};
 use psens_microdata::hash::FxHashSet;
 use psens_microdata::Table;
 use std::ops::ControlFlow;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Result of the level-wise search.
 #[derive(Debug, Clone)]
@@ -45,114 +41,35 @@ pub struct LevelWiseOutcome {
 ///
 /// Relies on the same monotonicity assumption as Samarati's binary search
 /// and the paper's Algorithm 3: a node dominated by a satisfying node also
-/// satisfies.
-pub fn levelwise_minimal(
-    initial: &Table,
-    qi: &QiSpace,
-    p: u32,
-    k: u32,
-    ts: usize,
-) -> Result<LevelWiseOutcome, psens_hierarchy::Error> {
-    levelwise_minimal_observed(initial, qi, p, k, ts, &NoopObserver)
-}
-
-/// [`levelwise_minimal`], reporting search events to `observer`. With a
-/// [`NoopObserver`] this monomorphizes to the unobserved search.
-pub fn levelwise_minimal_observed<O: SearchObserver>(
-    initial: &Table,
-    qi: &QiSpace,
-    p: u32,
-    k: u32,
-    ts: usize,
-    observer: &O,
-) -> Result<LevelWiseOutcome, psens_hierarchy::Error> {
-    levelwise_minimal_budgeted(initial, qi, p, k, ts, &SearchBudget::unlimited(), observer)
-}
-
-/// [`levelwise_minimal_observed`] under a [`SearchBudget`]. Heights are
-/// processed bottom-up, so an interrupted search is *anytime*: every node in
-/// `minimal` is correct, and the set is complete through `completed_height`.
-#[allow(clippy::too_many_arguments)]
-pub fn levelwise_minimal_budgeted<O: SearchObserver>(
-    initial: &Table,
-    qi: &QiSpace,
-    p: u32,
-    k: u32,
-    ts: usize,
-    budget: &SearchBudget,
-    observer: &O,
-) -> Result<LevelWiseOutcome, psens_hierarchy::Error> {
-    levelwise_minimal_tuned(initial, qi, p, k, ts, budget, Tuning::default(), observer)
-}
-
-/// [`levelwise_minimal_budgeted`] with execution [`Tuning`]: a worker-thread
-/// count for per-stratum evaluation and an optional shared
-/// [`psens_core::verdict::VerdictStore`].
+/// satisfies. Rollup relies on monotonicity, which every built-in
+/// [`ModelSpec`](psens_core::ModelSpec) declares.
 ///
-/// Rollup is precomputed on the calling thread before each stratum fans out
-/// (children live one height below, so intra-stratum insertions can never
-/// change it), workers evaluate the remainder in chunks, and results merge
-/// back in node order — the `minimal` set and its order are identical to the
-/// serial search for any thread count. A panicked worker's chunk is re-run
-/// on the calling thread (tallied in `worker_failures`): dropping it would
-/// break the completeness guarantee behind `completed_height`.
-#[allow(clippy::too_many_arguments)]
-pub fn levelwise_minimal_tuned<O: SearchObserver>(
+/// Heights are processed bottom-up, so under a budget the search is
+/// *anytime*: every node in `minimal` is correct, and the set is complete
+/// through `completed_height`.
+///
+/// With `req.tuning.threads > 1` rollup is precomputed on the calling thread
+/// before each stratum fans out (children live one height below, so
+/// intra-stratum insertions can never change it), workers evaluate the
+/// remainder in chunks, and results merge back in node order — the
+/// `minimal` set and its order are identical to the serial search for any
+/// thread count. A panicked worker's chunk is re-run on the calling thread
+/// (tallied in `worker_failures`): dropping it would break the completeness
+/// guarantee behind `completed_height`.
+pub fn levelwise_minimal<O: SearchObserver>(
     initial: &Table,
     qi: &QiSpace,
-    p: u32,
-    k: u32,
-    ts: usize,
-    budget: &SearchBudget,
-    tuning: Tuning<'_>,
+    req: &SearchRequest<'_>,
     observer: &O,
 ) -> Result<LevelWiseOutcome, psens_hierarchy::Error> {
-    levelwise_minimal_model(
-        initial,
-        qi,
-        ModelSpec::PSensitiveK { p },
-        k,
-        ts,
-        budget,
-        tuning,
-        observer,
-    )
-}
-
-/// [`levelwise_minimal_tuned`] generalized over the pluggable privacy
-/// models. Rollup relies on monotonicity, which every built-in
-/// [`ModelSpec`] declares; `ModelSpec::PSensitiveK` reproduces the
-/// p-sensitive search bit-for-bit.
-#[allow(clippy::too_many_arguments)]
-pub fn levelwise_minimal_model<O: SearchObserver>(
-    initial: &Table,
-    qi: &QiSpace,
-    spec: ModelSpec,
-    k: u32,
-    ts: usize,
-    budget: &SearchBudget,
-    tuning: Tuning<'_>,
-    observer: &O,
-) -> Result<LevelWiseOutcome, psens_hierarchy::Error> {
-    let p = spec.conditions_p();
-    let ctx = MaskingContext {
-        initial,
-        qi,
-        k,
-        p,
-        ts,
-    };
-    let stats_im = ctx.initial_stats();
-    let lattice = qi.lattice();
-    let mut stats = SearchStats {
-        lattice_nodes: lattice.node_count(),
-        requested_threads: tuning.threads,
-        effective_threads: tuning.effective_threads(),
-        ..Default::default()
-    };
+    let setup = Setup::new(initial, qi, req);
+    let check_stats = &*setup.check_stats;
+    let tuning = req.tuning;
+    let lattice = &setup.lattice;
+    let mut stats = setup.stats();
 
     // Condition 1 settles unsatisfiable p before any lattice work.
-    if !stats_im.condition1(p) {
+    if setup.condition1_fails() {
         stats.aborted_condition1 = true;
         return Ok(LevelWiseOutcome {
             minimal: Vec::new(),
@@ -163,11 +80,9 @@ pub fn levelwise_minimal_model<O: SearchObserver>(
         });
     }
 
-    let ectx = tuning
-        .configure(EvalContext::build_observed(&ctx, observer)?)
-        .with_model(spec);
+    let ectx = setup.eval_context(observer)?;
     let mut eval = ectx.evaluator();
-    let state = budget.start();
+    let state = req.budget.start();
     let mut satisfying: FxHashSet<Node> = FxHashSet::default();
     let mut minimal = Vec::new();
     let mut completed_height = None;
@@ -193,7 +108,7 @@ pub fn levelwise_minimal_model<O: SearchObserver>(
         }
         if tuning.effective_threads() == 1 {
             for node in to_eval {
-                match eval.check_cached(&node, &stats_im, &state, tuning.cache, true, observer)? {
+                match eval.check_cached(&node, check_stats, &state, tuning.cache, true, observer)? {
                     ControlFlow::Break(_) => break 'levels,
                     ControlFlow::Continue(cc) => {
                         stats.record_cached(&cc);
@@ -205,12 +120,11 @@ pub fn levelwise_minimal_model<O: SearchObserver>(
                 }
             }
         } else {
-            let (sat, tripped) = evaluate_stratum_parallel(
-                &ectx, &to_eval, &stats_im, &state, tuning, &mut stats, observer,
-            )?;
-            for node in sat {
-                minimal.push(node.clone());
-                satisfying.insert(node);
+            let (hits, tripped) =
+                check_stratum(&setup, &ectx, &to_eval, &state, false, &mut stats, observer)?;
+            for ix in hits {
+                minimal.push(to_eval[ix].clone());
+                satisfying.insert(to_eval[ix].clone());
             }
             if tripped {
                 break 'levels;
@@ -226,102 +140,19 @@ pub fn levelwise_minimal_model<O: SearchObserver>(
     })
 }
 
-/// Chunk-level result of a parallel stratum worker: indices (into the
-/// stratum's evaluation list) of satisfying nodes, whether the budget
-/// tripped mid-chunk, and the worker's private stats.
-type LevelChunk = Result<(Vec<usize>, bool, SearchStats), psens_hierarchy::Error>;
-
-/// Evaluates one stratum's non-rolled-up nodes across `tuning.threads`
-/// scoped workers sharing the budget, observer, and (when present) the
-/// verdict store. Satisfying nodes come back in stratum node order, so the
-/// caller appends them to `minimal` exactly as the serial loop would. A
-/// panicked chunk is re-run serially on the calling thread (counted in
-/// `worker_failures`); dropping it would silently break the completeness
-/// guarantee behind `completed_height`.
-fn evaluate_stratum_parallel<O: SearchObserver>(
-    ectx: &EvalContext,
-    nodes: &[Node],
-    check_stats: &ConfidentialStats,
-    state: &BudgetState,
-    tuning: Tuning<'_>,
-    stats: &mut SearchStats,
-    observer: &O,
-) -> Result<(Vec<Node>, bool), psens_hierarchy::Error> {
-    if nodes.is_empty() {
-        return Ok((Vec::new(), false));
-    }
-    let chunk_size = nodes.len().div_ceil(tuning.effective_threads()).max(1);
-    let cache = tuning.cache;
-    let run_chunk = |start: usize, chunk: &[Node]| -> LevelChunk {
-        let mut eval = ectx.evaluator();
-        let mut part = SearchStats::default();
-        let mut satisfied = Vec::new();
-        let mut tripped = false;
-        for (i, node) in chunk.iter().enumerate() {
-            match eval.check_cached(node, check_stats, state, cache, true, observer)? {
-                ControlFlow::Break(_) => {
-                    tripped = true;
-                    break;
-                }
-                ControlFlow::Continue(cc) => {
-                    part.record_cached(&cc);
-                    if cc.satisfied {
-                        satisfied.push(start + i);
-                    }
-                }
-            }
-        }
-        Ok((satisfied, tripped, part))
-    };
-
-    let partials: Vec<(usize, &[Node], Option<LevelChunk>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = nodes
-            .chunks(chunk_size)
-            .enumerate()
-            .map(|(ci, chunk)| {
-                let run_chunk = &run_chunk;
-                let start = ci * chunk_size;
-                let handle = scope
-                    .spawn(move || catch_unwind(AssertUnwindSafe(|| run_chunk(start, chunk))).ok());
-                (start, chunk, handle)
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|(start, chunk, handle)| {
-                let joined = handle.join().expect("worker panics are caught inside");
-                (start, chunk, joined)
-            })
-            .collect()
-    });
-
-    let mut satisfied = Vec::new();
-    let mut any_tripped = false;
-    for (start, chunk, partial) in partials {
-        let outcome = match partial {
-            Some(outcome) => outcome,
-            None => {
-                // Sound recovery: replay the lost chunk here, letting a
-                // deterministic panic propagate the second time.
-                stats.worker_failures += 1;
-                run_chunk(start, chunk)
-            }
-        };
-        let (sat, tripped, part) = outcome?;
-        stats.merge(&part);
-        any_tripped |= tripped;
-        satisfied.extend(sat);
-    }
-    // Chunks are contiguous and each chunk reports ascending indices, so
-    // the concatenation is already in stratum node order.
-    let picked = satisfied.into_iter().map(|ix| nodes[ix].clone()).collect();
-    Ok((picked, any_tripped))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exhaustive::exhaustive_scan;
+    use psens_core::{ModelSpec, NoopObserver, SearchBudget};
+
+    fn request(p: u32, k: u32, ts: usize) -> SearchRequest<'static> {
+        SearchRequest::new(ModelSpec::PSensitiveK { p }, k, ts)
+    }
+
+    fn levelwise(im: &Table, qi: &QiSpace, p: u32, k: u32, ts: usize) -> LevelWiseOutcome {
+        levelwise_minimal(im, qi, &request(p, k, ts), &NoopObserver).unwrap()
+    }
     use psens_datasets::hierarchies::{adult_qi_space, figure2_qi_space};
     use psens_datasets::paper::figure3_microdata;
     use psens_datasets::AdultGenerator;
@@ -331,8 +162,8 @@ mod tests {
         let im = figure3_microdata();
         let qi = figure2_qi_space();
         for ts in 0..=10usize {
-            let exhaustive = exhaustive_scan(&im, &qi, 1, 3, ts).unwrap();
-            let levelwise = levelwise_minimal(&im, &qi, 1, 3, ts).unwrap();
+            let exhaustive = exhaustive_scan(&im, &qi, &request(1, 3, ts), &NoopObserver).unwrap();
+            let levelwise = levelwise(&im, &qi, 1, 3, ts);
             let mut a = exhaustive.minimal.clone();
             let mut b = levelwise.minimal.clone();
             a.sort();
@@ -347,8 +178,9 @@ mod tests {
         let qi = figure2_qi_space();
         for p in 1..=3u32 {
             for ts in [0usize, 3] {
-                let exhaustive = exhaustive_scan(&im, &qi, p, 2, ts).unwrap();
-                let levelwise = levelwise_minimal(&im, &qi, p, 2, ts).unwrap();
+                let exhaustive =
+                    exhaustive_scan(&im, &qi, &request(p, 2, ts), &NoopObserver).unwrap();
+                let levelwise = levelwise(&im, &qi, p, 2, ts);
                 let mut a = exhaustive.minimal.clone();
                 let mut b = levelwise.minimal.clone();
                 a.sort();
@@ -365,7 +197,7 @@ mod tests {
         // nodes sit below the top.
         let im = AdultGenerator::new(42).generate(300);
         let qi = adult_qi_space();
-        let levelwise = levelwise_minimal(&im, &qi, 1, 2, 30).unwrap();
+        let levelwise = levelwise(&im, &qi, 1, 2, 30);
         assert!(!levelwise.minimal.is_empty());
         assert!(
             levelwise.stats.nodes_evaluated < 96,
@@ -378,7 +210,7 @@ mod tests {
     fn impossible_p_aborts() {
         let im = figure3_microdata();
         let qi = figure2_qi_space();
-        let outcome = levelwise_minimal(&im, &qi, 9, 2, 0).unwrap();
+        let outcome = levelwise(&im, &qi, 9, 2, 0);
         assert!(outcome.minimal.is_empty());
         assert!(outcome.stats.aborted_condition1);
         assert_eq!(outcome.stats.nodes_evaluated, 0);
@@ -390,13 +222,15 @@ mod tests {
     fn interrupted_minimal_set_is_a_sound_prefix() {
         let im = figure3_microdata();
         let qi = figure2_qi_space();
-        let full = levelwise_minimal(&im, &qi, 1, 3, 4).unwrap();
+        let full = levelwise(&im, &qi, 1, 3, 4);
         assert_eq!(full.termination, Termination::Completed);
         assert_eq!(full.completed_height, Some(qi.lattice().height()));
         for max_nodes in 0..full.stats.nodes_evaluated as u64 {
-            let budget = SearchBudget::unlimited().with_max_nodes(max_nodes);
-            let outcome =
-                levelwise_minimal_budgeted(&im, &qi, 1, 3, 4, &budget, &NoopObserver).unwrap();
+            let req = SearchRequest {
+                budget: SearchBudget::unlimited().with_max_nodes(max_nodes),
+                ..request(1, 3, 4)
+            };
+            let outcome = levelwise_minimal(&im, &qi, &req, &NoopObserver).unwrap();
             assert_eq!(outcome.termination, Termination::NodeBudgetExhausted);
             assert!(outcome.stats.nodes_evaluated as u64 <= max_nodes);
             // Anytime guarantee: everything reported minimal really is.

@@ -8,8 +8,9 @@
 //!   for a *p-k-minimal* generalization, with the two necessary conditions as
 //!   an optional pruning stage (the ablation the paper's future work
 //!   proposes).
-//! - [`exhaustive`]: full lattice scan; exact set of minimal generalizations
-//!   (reproduces Table 4) and per-node violation annotations (Figure 3).
+//! - [`exhaustive`]: full lattice scan, serial or across scoped threads;
+//!   exact set of minimal generalizations (reproduces Table 4) and per-node
+//!   violation annotations (Figure 3).
 //! - [`levelwise`]: bottom-up search with rollup pruning; finds all minimal
 //!   nodes without scanning the whole lattice.
 //! - [`incognito`]: the full Incognito algorithm [12] — Apriori pruning
@@ -17,7 +18,6 @@
 //!   p-sensitivity check at the full-QI stage.
 //! - [`mondrian`]: multidimensional local-recoding baseline extended with
 //!   the p-sensitivity constraint.
-//! - [`parallel`]: scoped-thread parallel exhaustive scan.
 //! - [`pram_backend`]: greedy PRAM repair — find the k-minimal node, then
 //!   re-randomise confidential cells inside failing groups instead of
 //!   climbing the lattice further (diversity-style models only).
@@ -25,16 +25,23 @@
 //!   clustering under the joint size/sensitivity constraint with local
 //!   recoding.
 //!
+//! The four lattice searches share one request type, [`SearchRequest`]:
+//! each has a single entry point `(table, qi, &SearchRequest, &observer)`.
+//! Mondrian and greedy clustering, which do not search a lattice, take
+//! their own config plus a [`psens_core::SearchBudget`] and an observer.
+//!
 //! ## Example
 //!
 //! ```
-//! use psens_algorithms::samarati::{pk_minimal_generalization, Pruning};
+//! use psens_algorithms::{pk_minimal_generalization, SearchRequest};
+//! use psens_core::{ModelSpec, NoopObserver};
 //! use psens_datasets::{hierarchies::figure2_qi_space, paper::figure3_microdata};
 //!
 //! let im = figure3_microdata();
 //! let qi = figure2_qi_space();
-//! let outcome =
-//!     pk_minimal_generalization(&im, &qi, 2, 2, 0, Pruning::NecessaryConditions).unwrap();
+//! // Algorithm 3 with its default necessary-condition pruning.
+//! let req = SearchRequest::new(ModelSpec::PSensitiveK { p: 2 }, 2, 0);
+//! let outcome = pk_minimal_generalization(&im, &qi, &req, &NoopObserver).unwrap();
 //! let node = outcome.node.expect("achievable");
 //! let masked = outcome.masked.unwrap();
 //! let keys = masked.schema().key_indices();
@@ -50,44 +57,27 @@ pub mod greedy_cluster;
 pub mod incognito;
 pub mod levelwise;
 pub mod mondrian;
-pub mod parallel;
 pub mod pram_backend;
 mod recode;
 pub mod report;
+pub mod request;
 pub mod samarati;
 pub mod stats;
+mod stratum;
 pub mod tuning;
 
-pub use exhaustive::{
-    exhaustive_scan, exhaustive_scan_budgeted, exhaustive_scan_model, exhaustive_scan_observed,
-    exhaustive_scan_tuned, ExhaustiveOutcome,
-};
+pub use exhaustive::{exhaustive_scan, ExhaustiveOutcome};
 pub use greedy_cluster::{
-    greedy_pk_cluster, greedy_pk_cluster_budgeted, greedy_pk_cluster_observed, ClusterError,
-    GreedyClusterConfig, GreedyClusterOutcome,
+    greedy_pk_cluster, ClusterError, GreedyClusterConfig, GreedyClusterOutcome,
 };
-pub use incognito::{
-    incognito_minimal, incognito_minimal_budgeted, incognito_minimal_model,
-    incognito_minimal_observed, incognito_minimal_tuned, IncognitoOutcome, IncognitoStats,
-};
-pub use levelwise::{
-    levelwise_minimal, levelwise_minimal_budgeted, levelwise_minimal_model,
-    levelwise_minimal_observed, levelwise_minimal_tuned, LevelWiseOutcome,
-};
-pub use mondrian::{
-    mondrian_anonymize, mondrian_anonymize_budgeted, mondrian_anonymize_observed, MondrianConfig,
-    MondrianOutcome,
-};
-pub use parallel::{
-    parallel_exhaustive_scan, parallel_exhaustive_scan_budgeted, parallel_exhaustive_scan_model,
-    parallel_exhaustive_scan_observed, parallel_exhaustive_scan_tuned,
-};
+pub use incognito::{incognito_minimal, IncognitoOutcome, IncognitoStats};
+pub use levelwise::{levelwise_minimal, LevelWiseOutcome};
+pub use mondrian::{mondrian_anonymize, MondrianConfig, MondrianOutcome};
 pub use pram_backend::{pram_minimal_masking, PramBackendConfig, PramBackendError, PramOutcome};
 pub use report::{RunReport, TerminationReport};
+pub use request::SearchRequest;
 pub use samarati::{
-    k_minimal_generalization, pk_minimal_generalization, pk_minimal_generalization_budgeted,
-    pk_minimal_generalization_model, pk_minimal_generalization_model_with_stats,
-    pk_minimal_generalization_observed, pk_minimal_generalization_tuned, Pruning, SearchOutcome,
+    pk_minimal_generalization, pk_minimal_generalization_model_with_stats, Pruning, SearchOutcome,
 };
 pub use stats::SearchStats;
 pub use tuning::Tuning;

@@ -13,7 +13,7 @@
 
 use crate::recode::recode_partitions;
 use psens_core::observe::{elapsed_since, start_timer};
-use psens_core::{NoopObserver, SearchBudget, SearchObserver, Termination};
+use psens_core::{SearchBudget, SearchObserver, Termination};
 use psens_microdata::hash::FxHashSet;
 use psens_microdata::{Table, Value};
 use serde::Serialize;
@@ -46,38 +46,22 @@ pub struct MondrianOutcome {
 }
 
 /// Runs Mondrian over `initial`, using its schema's key and confidential
-/// roles.
+/// roles, reporting each finalized partition (row count and the time spent
+/// deciding it cannot split further) to `observer`.
+///
+/// Each split attempt draws one (coarse) unit from `budget` — a split
+/// attempt sorts the partition, so the deadline and cancel token are polled
+/// on every unit rather than every [`SearchBudget::check_interval`] units.
+/// When the budget trips, splitting stops and all pending partitions are
+/// finalized as they stand: the result is a valid, coarser cover (anytime
+/// behaviour).
 ///
 /// # Errors
 /// Fails only when the masked table cannot be rebuilt, which cannot happen
 /// for well-formed inputs. An input smaller than `k` simply yields a single
 /// unsplittable partition (which then fails the constraint — callers should
 /// check the output with `psens_core`).
-pub fn mondrian_anonymize(
-    initial: &Table,
-    config: MondrianConfig,
-) -> Result<MondrianOutcome, psens_microdata::Error> {
-    mondrian_anonymize_observed(initial, config, &NoopObserver)
-}
-
-/// [`mondrian_anonymize`], reporting each finalized partition (row count and
-/// the time spent deciding it cannot split further) to `observer`. With a
-/// [`NoopObserver`] this monomorphizes to the unobserved run.
-pub fn mondrian_anonymize_observed<O: SearchObserver>(
-    initial: &Table,
-    config: MondrianConfig,
-    observer: &O,
-) -> Result<MondrianOutcome, psens_microdata::Error> {
-    mondrian_anonymize_budgeted(initial, config, &SearchBudget::unlimited(), observer)
-}
-
-/// [`mondrian_anonymize_observed`] under a [`SearchBudget`]. Each split
-/// attempt draws one (coarse) budget unit — a split attempt sorts the
-/// partition, so the deadline and cancel token are polled on every unit
-/// rather than every [`SearchBudget::check_interval`] units. When the budget
-/// trips, splitting stops and all pending partitions are finalized as they
-/// stand: the result is a valid, coarser cover (anytime behaviour).
-pub fn mondrian_anonymize_budgeted<O: SearchObserver>(
+pub fn mondrian_anonymize<O: SearchObserver>(
     initial: &Table,
     config: MondrianConfig,
     budget: &SearchBudget,
@@ -198,14 +182,18 @@ fn try_split(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psens_core::{is_k_anonymous, is_p_sensitive_k_anonymous};
+    use psens_core::{is_k_anonymous, is_p_sensitive_k_anonymous, NoopObserver};
+
+    fn mondrian(im: &Table, config: MondrianConfig) -> MondrianOutcome {
+        mondrian_anonymize(im, config, &SearchBudget::unlimited(), &NoopObserver).unwrap()
+    }
     use psens_datasets::paper::figure3_microdata;
     use psens_datasets::AdultGenerator;
 
     #[test]
     fn partitions_are_a_disjoint_cover() {
         let im = AdultGenerator::new(5).generate(500);
-        let outcome = mondrian_anonymize(&im, MondrianConfig { k: 5, p: 1 }).unwrap();
+        let outcome = mondrian(&im, MondrianConfig { k: 5, p: 1 });
         let mut seen = vec![false; 500];
         for partition in &outcome.partitions {
             for &row in partition {
@@ -219,7 +207,7 @@ mod tests {
     #[test]
     fn output_satisfies_k() {
         let im = AdultGenerator::new(6).generate(500);
-        let outcome = mondrian_anonymize(&im, MondrianConfig { k: 5, p: 1 }).unwrap();
+        let outcome = mondrian(&im, MondrianConfig { k: 5, p: 1 });
         for partition in &outcome.partitions {
             assert!(partition.len() >= 5);
         }
@@ -230,7 +218,7 @@ mod tests {
     #[test]
     fn output_satisfies_p_sensitivity_when_requested() {
         let im = AdultGenerator::new(7).generate(500);
-        let outcome = mondrian_anonymize(&im, MondrianConfig { k: 4, p: 2 }).unwrap();
+        let outcome = mondrian(&im, MondrianConfig { k: 4, p: 2 });
         let keys = outcome.masked.schema().key_indices();
         let conf = outcome.masked.schema().confidential_indices();
         assert!(is_p_sensitive_k_anonymous(
@@ -248,7 +236,7 @@ mod tests {
         // (7 suppressed at lower nodes); Mondrian keeps more detail by
         // splitting locally.
         let im = figure3_microdata();
-        let outcome = mondrian_anonymize(&im, MondrianConfig { k: 2, p: 1 }).unwrap();
+        let outcome = mondrian(&im, MondrianConfig { k: 2, p: 1 });
         assert!(outcome.partitions.len() >= 2);
         let keys = outcome.masked.schema().key_indices();
         assert!(is_k_anonymous(&outcome.masked, &keys, 2));
@@ -259,7 +247,7 @@ mod tests {
     #[test]
     fn small_input_yields_one_partition() {
         let im = figure3_microdata();
-        let outcome = mondrian_anonymize(&im, MondrianConfig { k: 10, p: 1 }).unwrap();
+        let outcome = mondrian(&im, MondrianConfig { k: 10, p: 1 });
         assert_eq!(outcome.partitions.len(), 1);
         assert_eq!(outcome.splits, 0);
         // One partition means one QI-group: trivially 10-anonymous.
@@ -270,14 +258,14 @@ mod tests {
     #[test]
     fn identifiers_are_dropped() {
         let im = AdultGenerator::new(8).generate(100);
-        let outcome = mondrian_anonymize(&im, MondrianConfig { k: 5, p: 1 }).unwrap();
+        let outcome = mondrian(&im, MondrianConfig { k: 5, p: 1 });
         assert!(outcome.masked.schema().index_of("Id").is_err());
     }
 
     #[test]
     fn labels_are_ranges_and_sets() {
         let im = AdultGenerator::new(9).generate(300);
-        let outcome = mondrian_anonymize(&im, MondrianConfig { k: 50, p: 1 }).unwrap();
+        let outcome = mondrian(&im, MondrianConfig { k: 50, p: 1 });
         let age = outcome.masked.column_by_name("Age").unwrap();
         let label = age.value(0).to_string();
         assert!(
@@ -290,13 +278,13 @@ mod tests {
     fn interrupted_run_is_a_coarser_valid_cover() {
         let im = AdultGenerator::new(10).generate(500);
         let config = MondrianConfig { k: 5, p: 1 };
-        let full = mondrian_anonymize(&im, config).unwrap();
+        let full = mondrian(&im, config);
         assert_eq!(full.termination, Termination::Completed);
         // One unit per split attempt: completed runs draw splits + finals.
         let attempts = (full.splits + full.partitions.len()) as u64;
         for max_nodes in [0u64, 1, attempts / 2] {
             let budget = SearchBudget::unlimited().with_max_nodes(max_nodes);
-            let outcome = mondrian_anonymize_budgeted(&im, config, &budget, &NoopObserver).unwrap();
+            let outcome = mondrian_anonymize(&im, config, &budget, &NoopObserver).unwrap();
             assert_eq!(outcome.termination, Termination::NodeBudgetExhausted);
             assert!(outcome.splits <= full.splits);
             // Still a disjoint cover of every row.

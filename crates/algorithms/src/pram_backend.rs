@@ -23,9 +23,9 @@
 //! which uniform-retention PRAM does not steer toward, so it is refused
 //! rather than silently left to spin.
 
-use crate::samarati::{pk_minimal_generalization_model, Pruning};
-use crate::tuning::Tuning;
-use psens_core::{ModelSpec, NoopObserver, SearchBudget, Termination};
+use crate::request::SearchRequest;
+use crate::samarati::pk_minimal_generalization;
+use psens_core::{ModelSpec, NoopObserver, Termination};
 use psens_hierarchy::{Node, QiSpace};
 use psens_methods::pram::{pram, PramMatrix};
 use psens_microdata::{CatColumn, Column, GroupBy, Table};
@@ -128,18 +128,9 @@ pub fn pram_minimal_masking(
         ));
     }
     // Stage 1: the cheapest QI masking that is k-anonymous within ts.
-    let search = pk_minimal_generalization_model(
-        initial,
-        qi,
-        ModelSpec::PSensitiveK { p: 1 },
-        k,
-        ts,
-        Pruning::NecessaryConditions,
-        &SearchBudget::unlimited(),
-        Tuning::default(),
-        &NoopObserver,
-    )
-    .map_err(PramBackendError::Search)?;
+    let req = SearchRequest::new(ModelSpec::PSensitiveK { p: 1 }, k, ts);
+    let search = pk_minimal_generalization(initial, qi, &req, &NoopObserver)
+        .map_err(PramBackendError::Search)?;
     debug_assert_eq!(search.termination, Termination::Completed);
     let (Some(node), Some(baseline)) = (search.node, search.masked) else {
         return Ok(PramOutcome {
@@ -324,7 +315,8 @@ mod tests {
         assert!(outcome.satisfied, "{outcome:?}");
         // The QI node is the k-minimal one — the identity, no
         // sensitivity-driven climb — and repair actually ran.
-        let k_only = crate::samarati::k_minimal_generalization(&im, &qi, 2, 0).unwrap();
+        let req = SearchRequest::new(ModelSpec::PSensitiveK { p: 1 }, 2, 0);
+        let k_only = pk_minimal_generalization(&im, &qi, &req, &NoopObserver).unwrap();
         assert_eq!(outcome.node, k_only.node);
         assert!(outcome.sweeps >= 1, "{outcome:?}");
         let masked = outcome.masked.unwrap();

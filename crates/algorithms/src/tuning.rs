@@ -1,16 +1,16 @@
 //! Execution tuning shared by the lattice searches: worker-thread count and
 //! an optional shared [`VerdictStore`].
 //!
-//! The defaults reproduce the pre-tuning behaviour exactly — one thread, no
-//! cache — so the `*_budgeted` entry points keep their historical semantics
-//! (including bit-identical [`crate::stats::SearchStats`]) by delegating
-//! with [`Tuning::default`].
+//! The defaults reproduce the untuned behaviour exactly — one thread, no
+//! cache — so a [`crate::SearchRequest`] that leaves `tuning` alone keeps
+//! the historical semantics, including bit-identical
+//! [`crate::stats::SearchStats`].
 
-use psens_core::evaluator::EvalContext;
 use psens_core::verdict::VerdictStore;
 use psens_microdata::resolve_threads;
 
-/// Knobs for the `*_tuned` search entry points.
+/// Execution knobs of a [`crate::SearchRequest`]: they change how fast a
+/// search runs, never what it returns.
 #[derive(Debug, Clone, Copy)]
 pub struct Tuning<'a> {
     /// Worker threads for per-stratum evaluation and the chunked partition
@@ -43,21 +43,10 @@ impl Default for Tuning<'_> {
     }
 }
 
-impl<'a> Tuning<'a> {
+impl Tuning<'_> {
     /// Effective worker count: at least one; `0` resolves to the available
     /// parallelism (see [`resolve_threads`]).
     pub fn effective_threads(&self) -> usize {
         resolve_threads(self.threads).max(1)
-    }
-
-    /// Applies the chunked-partition setting to a freshly built evaluator
-    /// context. With `chunk_rows == 0` the context is returned untouched,
-    /// preserving the historical serial kernel.
-    pub fn configure(&self, ectx: EvalContext) -> EvalContext {
-        if self.chunk_rows > 0 {
-            ectx.with_chunked_partition(self.chunk_rows, self.effective_threads())
-        } else {
-            ectx
-        }
     }
 }

@@ -6,7 +6,8 @@
 //! detailed scan on candidate nodes with too many QI-groups.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use psens_algorithms::samarati::{pk_minimal_generalization, Pruning};
+use psens_algorithms::{pk_minimal_generalization, Pruning, SearchRequest};
+use psens_core::{ModelSpec, NoopObserver};
 use psens_datasets::hierarchies::adult_qi_space;
 use psens_datasets::paper_samples;
 use std::hint::black_box;
@@ -27,9 +28,14 @@ fn bench_pruning(c: &mut Criterion) {
                 BenchmarkId::new(format!("p2_k2_{mode}"), label),
                 table,
                 |b, table| {
+                    let req = SearchRequest {
+                        pruning,
+                        ..SearchRequest::new(ModelSpec::PSensitiveK { p: 2 }, 2, 0)
+                    };
                     b.iter(|| {
                         black_box(
-                            pk_minimal_generalization(table, &qi, 2, 2, 0, pruning).expect("valid"),
+                            pk_minimal_generalization(table, &qi, &req, &NoopObserver)
+                                .expect("valid"),
                         )
                     });
                 },
@@ -45,9 +51,14 @@ fn bench_pruning(c: &mut Criterion) {
                 BenchmarkId::new(format!("p3_impossible_{mode}"), label),
                 table,
                 |b, table| {
+                    let req = SearchRequest {
+                        pruning,
+                        ..SearchRequest::new(ModelSpec::PSensitiveK { p: 3 }, 3, 0)
+                    };
                     b.iter(|| {
                         black_box(
-                            pk_minimal_generalization(table, &qi, 3, 3, 0, pruning).expect("valid"),
+                            pk_minimal_generalization(table, &qi, &req, &NoopObserver)
+                                .expect("valid"),
                         )
                     });
                 },

@@ -7,10 +7,11 @@
 //! verdict, no tables.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use psens_algorithms::{exhaustive_scan, parallel_exhaustive_scan};
+use psens_algorithms::{exhaustive_scan, SearchRequest, Tuning};
 use psens_bench::workloads;
 use psens_core::evaluator::EvalContext;
 use psens_core::masking::MaskingContext;
+use psens_core::{ModelSpec, NoopObserver};
 use psens_datasets::hierarchies::adult_qi_space;
 use std::hint::black_box;
 
@@ -62,14 +63,19 @@ fn bench_exhaustive(c: &mut Criterion) {
     let table = workloads::adult(10_000);
     let mut group = c.benchmark_group("exhaustive_scan");
     group.throughput(Throughput::Elements(qi.lattice().node_count() as u64));
+    let serial = SearchRequest::new(ModelSpec::PSensitiveK { p: 2 }, 3, 500);
     group.bench_function("serial", |b| {
-        b.iter(|| exhaustive_scan(black_box(&table), &qi, 2, 3, 500).expect("scan"));
+        b.iter(|| exhaustive_scan(black_box(&table), &qi, &serial, &NoopObserver).expect("scan"));
     });
-    let threads = std::thread::available_parallelism().map_or(4, usize::from);
+    let parallel = SearchRequest {
+        tuning: Tuning {
+            threads: std::thread::available_parallelism().map_or(4, usize::from),
+            ..Tuning::default()
+        },
+        ..serial.clone()
+    };
     group.bench_function("parallel", |b| {
-        b.iter(|| {
-            parallel_exhaustive_scan(black_box(&table), &qi, 2, 3, 500, threads).expect("scan")
-        });
+        b.iter(|| exhaustive_scan(black_box(&table), &qi, &parallel, &NoopObserver).expect("scan"));
     });
     group.finish();
 }

@@ -3,9 +3,9 @@
 //! on the same (and scaled) microdata.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use psens_algorithms::exhaustive::exhaustive_scan;
-use psens_algorithms::samarati::k_minimal_generalization;
+use psens_algorithms::{exhaustive_scan, pk_minimal_generalization, SearchRequest};
 use psens_bench::workloads;
+use psens_core::{ModelSpec, NoopObserver};
 use psens_datasets::hierarchies::figure2_qi_space;
 use psens_datasets::paper::figure3_microdata;
 use std::hint::black_box;
@@ -18,14 +18,16 @@ fn bench_table4(c: &mut Criterion) {
     group.bench_function("exhaustive_ts_sweep", |b| {
         b.iter(|| {
             for ts in 0..=10usize {
-                black_box(exhaustive_scan(&im, &qi, 1, 3, ts).expect("valid"));
+                let req = SearchRequest::new(ModelSpec::PSensitiveK { p: 1 }, 3, ts);
+                black_box(exhaustive_scan(&im, &qi, &req, &NoopObserver).expect("valid"));
             }
         });
     });
     group.bench_function("samarati_ts_sweep", |b| {
         b.iter(|| {
             for ts in 0..=10usize {
-                black_box(k_minimal_generalization(&im, &qi, 3, ts).expect("valid"));
+                let req = SearchRequest::new(ModelSpec::PSensitiveK { p: 1 }, 3, ts);
+                black_box(pk_minimal_generalization(&im, &qi, &req, &NoopObserver).expect("valid"));
             }
         });
     });
@@ -37,8 +39,12 @@ fn bench_table4(c: &mut Criterion) {
             BenchmarkId::new("samarati_scaled", factor * 10),
             &factor,
             |b, _| {
+                let req = SearchRequest::new(ModelSpec::PSensitiveK { p: 1 }, 3, factor);
                 b.iter(|| {
-                    black_box(k_minimal_generalization(&scaled, &qi, 3, factor).expect("valid"))
+                    black_box(
+                        pk_minimal_generalization(&scaled, &qi, &req, &NoopObserver)
+                            .expect("valid"),
+                    )
                 });
             },
         );

@@ -3,8 +3,8 @@
 //! attribute-disclosure count on the result.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use psens_algorithms::samarati::k_minimal_generalization;
-use psens_core::attribute_disclosure_count;
+use psens_algorithms::{pk_minimal_generalization, SearchRequest};
+use psens_core::{attribute_disclosure_count, ModelSpec, NoopObserver};
 use psens_datasets::hierarchies::adult_qi_space;
 use psens_datasets::paper_samples;
 use std::hint::black_box;
@@ -16,16 +16,21 @@ fn bench_table8(c: &mut Criterion) {
     let (s400, s4000) = paper_samples();
     for (label, table) in [("400", &s400), ("4000", &s4000)] {
         for k in [2u32, 3] {
+            let req = SearchRequest::new(ModelSpec::PSensitiveK { p: 1 }, k, 0);
             group.bench_with_input(
                 BenchmarkId::new("samarati_search", format!("{label}_k{k}")),
                 &k,
-                |b, &k| {
+                |b, _| {
                     b.iter(|| {
-                        black_box(k_minimal_generalization(table, &qi, k, 0).expect("valid"))
+                        black_box(
+                            pk_minimal_generalization(table, &qi, &req, &NoopObserver)
+                                .expect("valid"),
+                        )
                     });
                 },
             );
-            let outcome = k_minimal_generalization(table, &qi, k, 0).expect("valid");
+            let outcome =
+                pk_minimal_generalization(table, &qi, &req, &NoopObserver).expect("valid");
             let masked = outcome.masked.expect("satisfiable");
             let keys = masked.schema().key_indices();
             let conf = masked.schema().confidential_indices();

@@ -24,12 +24,8 @@
 //! Like `chunked_scaling`, this is a plain binary with no dev-dependencies
 //! and runs in the hermetic (offline) build.
 
-use psens_algorithms::{
-    pk_minimal_generalization_model, pk_minimal_generalization_model_with_stats, Pruning, Tuning,
-};
-use psens_core::{
-    invalidation_for, LiveTable, ModelSpec, NoopObserver, SearchBudget, VerdictStore,
-};
+use psens_algorithms::{pk_minimal_generalization, SearchRequest, Tuning};
+use psens_core::{invalidation_for, LiveTable, ModelSpec, NoopObserver, VerdictStore};
 use psens_datasets::{ScaleGenerator, Spec};
 use psens_microdata::Table;
 use psens_testkit::deltas::delta_script;
@@ -67,18 +63,16 @@ fn bench_size(n: usize) -> SizeReport {
     let store = VerdictStore::for_model(&qi.lattice(), TS, MODEL.is_monotone());
     // Warm the store with the baseline search, as the daemon's `watch`
     // registration does; the first delta already has verdicts to keep.
-    pk_minimal_generalization_model(
+    pk_minimal_generalization(
         &base,
         &qi,
-        MODEL,
-        K,
-        TS,
-        Pruning::NecessaryConditions,
-        &SearchBudget::unlimited(),
-        Tuning {
-            threads: 1,
-            cache: Some(&store),
-            chunk_rows: 0,
+        &SearchRequest {
+            tuning: Tuning {
+                threads: 1,
+                cache: Some(&store),
+                chunk_rows: 0,
+            },
+            ..SearchRequest::new(MODEL, K, TS)
         },
         &NoopObserver,
     )
@@ -92,36 +86,29 @@ fn bench_size(n: usize) -> SizeReport {
         let effect = live.apply(&step.batch).expect("generated batch applies");
         let stats = live.stats();
         store.invalidate(invalidation_for(&effect, &stats, &MODEL, K as usize));
-        let incremental = pk_minimal_generalization_model_with_stats(
+        let incremental = pk_minimal_generalization(
             live.table(),
             &qi,
-            MODEL,
-            K,
-            TS,
-            Pruning::NecessaryConditions,
-            &SearchBudget::unlimited(),
-            Tuning {
-                threads: 1,
-                cache: Some(&store),
-                chunk_rows: 0,
+            &SearchRequest {
+                tuning: Tuning {
+                    threads: 1,
+                    cache: Some(&store),
+                    chunk_rows: 0,
+                },
+                stats: Some(&stats),
+                ..SearchRequest::new(MODEL, K, TS)
             },
             &NoopObserver,
-            &stats,
         )
         .expect("incremental search");
         incremental_secs += started.elapsed().as_secs_f64();
 
         let started = Instant::now();
         scratch_table = step.batch.apply(&scratch_table).expect("batch applies");
-        let scratch = pk_minimal_generalization_model(
+        let scratch = pk_minimal_generalization(
             &scratch_table,
             &qi,
-            MODEL,
-            K,
-            TS,
-            Pruning::NecessaryConditions,
-            &SearchBudget::unlimited(),
-            Tuning::default(),
+            &SearchRequest::new(MODEL, K, TS),
             &NoopObserver,
         )
         .expect("scratch search");

@@ -14,13 +14,11 @@
 //! Unlike the Criterion benches this needs no dev-dependencies, so it runs
 //! in the hermetic (offline) build too.
 
-use psens_algorithms::{
-    exhaustive_scan, exhaustive_scan_tuned, parallel_exhaustive_scan,
-    pk_minimal_generalization_tuned, Pruning, Tuning,
-};
+use psens_algorithms::{exhaustive_scan, pk_minimal_generalization, SearchRequest, Tuning};
 use psens_bench::workloads;
 use psens_core::evaluator::EvalContext;
 use psens_core::masking::MaskingContext;
+use psens_core::ModelSpec;
 use psens_core::{NoopObserver, RecordingObserver, SearchBudget, VerdictStore};
 use psens_datasets::hierarchies::{adult_qi_space, adult_wide_qi_space};
 use std::hint::black_box;
@@ -125,35 +123,24 @@ fn main() {
     // record, and the monotonicity closure — the ≤2% claim from DESIGN.md
     // §11. Alternating best-of-rounds, as above.
     let lattice = qi.lattice();
+    let scan_req = SearchRequest::new(ModelSpec::PSensitiveK { p: P }, K, TS);
     let mut scan_uncached = 0.0f64;
     let mut scan_cached_cold = 0.0f64;
     for _ in 0..5 {
         scan_uncached = scan_uncached.max(rate_for(n_nodes, 0.4, || {
-            black_box(
-                exhaustive_scan_tuned(
-                    &table,
-                    &qi,
-                    P,
-                    K,
-                    TS,
-                    &unlimited,
-                    Tuning::default(),
-                    &NoopObserver,
-                )
-                .expect("scan"),
-            );
+            black_box(exhaustive_scan(&table, &qi, &scan_req, &NoopObserver).expect("scan"));
         }));
         scan_cached_cold = scan_cached_cold.max(rate_for(n_nodes, 0.4, || {
             let store = VerdictStore::new(&lattice, TS);
-            let tuning = Tuning {
-                threads: 1,
-                cache: Some(&store),
-                chunk_rows: 0,
+            let cached = SearchRequest {
+                tuning: Tuning {
+                    threads: 1,
+                    cache: Some(&store),
+                    chunk_rows: 0,
+                },
+                ..scan_req.clone()
             };
-            black_box(
-                exhaustive_scan_tuned(&table, &qi, P, K, TS, &unlimited, tuning, &NoopObserver)
-                    .expect("scan"),
-            );
+            black_box(exhaustive_scan(&table, &qi, &cached, &NoopObserver).expect("scan"));
         }));
     }
 
@@ -164,11 +151,18 @@ fn main() {
         }
     });
     let exhaustive_serial = rate(n_nodes, || {
-        black_box(exhaustive_scan(&table, &qi, P, K, TS).expect("scan"));
+        black_box(exhaustive_scan(&table, &qi, &scan_req, &NoopObserver).expect("scan"));
     });
     let threads = std::thread::available_parallelism().map_or(4, usize::from);
+    let parallel_req = SearchRequest {
+        tuning: Tuning {
+            threads,
+            ..Tuning::default()
+        },
+        ..scan_req.clone()
+    };
     let exhaustive_parallel = rate(n_nodes, || {
-        black_box(parallel_exhaustive_scan(&table, &qi, P, K, TS, threads).expect("scan"));
+        black_box(exhaustive_scan(&table, &qi, &parallel_req, &NoopObserver).expect("scan"));
     });
 
     // The wide 8-QI lattice (7,776 nodes): Samarati wall-clock uncached,
@@ -180,20 +174,11 @@ fn main() {
     let wide_lattice = wide_qi.lattice();
     let wide_nodes = wide_lattice.node_count();
     let samarati = |tuning: Tuning<'_>| {
-        black_box(
-            pk_minimal_generalization_tuned(
-                &wide,
-                &wide_qi,
-                P,
-                K,
-                TS,
-                Pruning::NecessaryConditions,
-                &unlimited,
-                tuning,
-                &NoopObserver,
-            )
-            .expect("search"),
-        );
+        let req = SearchRequest {
+            tuning,
+            ..scan_req.clone()
+        };
+        black_box(pk_minimal_generalization(&wide, &wide_qi, &req, &NoopObserver).expect("search"));
     };
     let secs_of = |rate: f64| 1.0 / rate;
     let wide_uncached = secs_of(rate(1, || samarati(Tuning::default())));

@@ -1,11 +1,11 @@
 //! One function per table/figure of the paper. Each regenerates its
 //! artifact from our implementation and renders it as text.
 
-use psens_algorithms::exhaustive::exhaustive_scan;
-use psens_algorithms::samarati::{k_minimal_generalization, pk_minimal_generalization, Pruning};
+use psens_algorithms::{exhaustive_scan, pk_minimal_generalization, Pruning, SearchRequest};
 use psens_core::attack::linkage_attack;
 use psens_core::conditions::{ConfidentialStats, MaxGroups};
 use psens_core::{attribute_disclosure_count, max_p_of_masked};
+use psens_core::{ModelSpec, NoopObserver};
 use psens_datasets::hierarchies::{adult_qi_space, figure1_zipcode, figure2_qi_space};
 use psens_datasets::paper::{
     figure3_microdata, table1_patients, table2_external, table3_fixed, table3_psensitive_example,
@@ -167,7 +167,8 @@ pub fn figure3_and_table4() -> String {
     let im = figure3_microdata();
     let qi = figure2_qi_space();
     let _ = writeln!(out, "Figure 3 — tuples violating 3-anonymity per node:");
-    let scan = exhaustive_scan(&im, &qi, 1, 3, 0).expect("hierarchies cover data");
+    let req = SearchRequest::new(ModelSpec::PSensitiveK { p: 1 }, 3, 0);
+    let scan = exhaustive_scan(&im, &qi, &req, &NoopObserver).expect("hierarchies cover data");
     let mut annotations = scan.annotations.clone();
     annotations.sort_by_key(|(n, _)| std::cmp::Reverse(n.height()));
     for (node, violating) in &annotations {
@@ -175,7 +176,8 @@ pub fn figure3_and_table4() -> String {
     }
     let _ = writeln!(out, "\nTable 4 — 3-minimal generalizations by TS:");
     for ts in 0..=10usize {
-        let scan = exhaustive_scan(&im, &qi, 1, 3, ts).expect("hierarchies cover data");
+        let req = SearchRequest::new(ModelSpec::PSensitiveK { p: 1 }, 3, ts);
+        let scan = exhaustive_scan(&im, &qi, &req, &NoopObserver).expect("hierarchies cover data");
         let nodes: Vec<String> = scan.minimal.iter().map(|n| qi.describe_node(n)).collect();
         let _ = writeln!(out, "  TS = {ts:2}: {}", nodes.join(" and "));
     }
@@ -263,8 +265,9 @@ pub fn table8_rows(ts: usize) -> Vec<Table8Row> {
     let mut rows = Vec::new();
     for (size, table) in [("400", &s400), ("4000", &s4000)] {
         for k in [2u32, 3] {
-            let outcome =
-                k_minimal_generalization(table, &qi, k, ts).expect("hierarchies cover data");
+            let req = SearchRequest::new(ModelSpec::PSensitiveK { p: 1 }, k, ts);
+            let outcome = pk_minimal_generalization(table, &qi, &req, &NoopObserver)
+                .expect("hierarchies cover data");
             let (node, masked) = match (&outcome.node, &outcome.masked) {
                 (Some(n), Some(m)) => (n, m),
                 _ => continue,
@@ -333,7 +336,11 @@ pub fn algorithm3_ablation() -> String {
             ("pruned", Pruning::NecessaryConditions),
         ] {
             let start = Instant::now();
-            let outcome = pk_minimal_generalization(table, &qi, p, k, ts, pruning)
+            let req = SearchRequest {
+                pruning,
+                ..SearchRequest::new(ModelSpec::PSensitiveK { p }, k, ts)
+            };
+            let outcome = pk_minimal_generalization(table, &qi, &req, &NoopObserver)
                 .expect("hierarchies cover data");
             let elapsed = start.elapsed().as_secs_f64() * 1000.0;
             let node = outcome

@@ -2,10 +2,10 @@
 
 use crate::args::Args;
 use crate::progress::CliObserver;
-use psens_algorithms::mondrian::{mondrian_anonymize_budgeted, MondrianConfig};
+use psens_algorithms::mondrian::{mondrian_anonymize, MondrianConfig};
 use psens_algorithms::pram_backend::{pram_minimal_masking, PramBackendConfig};
-use psens_algorithms::samarati::{pk_minimal_generalization_model, Pruning};
-use psens_algorithms::{RunReport, SearchStats, TerminationReport, Tuning};
+use psens_algorithms::samarati::pk_minimal_generalization;
+use psens_algorithms::{RunReport, SearchRequest, SearchStats, TerminationReport, Tuning};
 use psens_core::conditions::{ConfidentialStats, MaxGroups};
 use psens_core::VerdictStore;
 use psens_core::{
@@ -800,23 +800,17 @@ fn anonymize(args: &Args) -> Result<CmdOutput, String> {
             // store, it does not silently lose caching twice over.
             let store =
                 use_cache.then(|| VerdictStore::for_model(&lattice, ts, spec_model.is_monotone()));
-            let tuning = Tuning {
-                threads,
-                cache: store.as_ref(),
-                chunk_rows,
+            let req = SearchRequest {
+                budget: limits.budget.clone(),
+                tuning: Tuning {
+                    threads,
+                    cache: store.as_ref(),
+                    chunk_rows,
+                },
+                ..SearchRequest::new(spec_model, k, ts)
             };
-            let outcome = pk_minimal_generalization_model(
-                &table,
-                &qi,
-                spec_model,
-                k,
-                ts,
-                Pruning::NecessaryConditions,
-                &limits.budget,
-                tuning,
-                &observer,
-            )
-            .map_err(|e| e.to_string())?;
+            let outcome = pk_minimal_generalization(&table, &qi, &req, &observer)
+                .map_err(|e| e.to_string())?;
             search_stats = Some(outcome.stats.clone());
             proven_min_height = Some(outcome.proven_min_height);
             termination = outcome.termination;
@@ -863,13 +857,9 @@ fn anonymize(args: &Args) -> Result<CmdOutput, String> {
             if !matches!(spec_model, ModelSpec::PSensitiveK { .. }) {
                 return Err("--algorithm mondrian supports --model psens-k only".to_owned());
             }
-            let outcome = mondrian_anonymize_budgeted(
-                &table,
-                MondrianConfig { k, p },
-                &limits.budget,
-                &observer,
-            )
-            .map_err(|e| e.to_string())?;
+            let outcome =
+                mondrian_anonymize(&table, MondrianConfig { k, p }, &limits.budget, &observer)
+                    .map_err(|e| e.to_string())?;
             termination = outcome.termination;
             let keys = outcome.masked.schema().key_indices();
             let conf = outcome.masked.schema().confidential_indices();

@@ -8,7 +8,7 @@
 //! > least p times within the same group.*
 
 use crate::kanonymity::report_from_groups;
-use psens_microdata::{ChunkedTable, GroupBy, Table, Value};
+use psens_microdata::{ChunkedTable, GroupBy, Schema, Table, Value};
 use serde::Serialize;
 
 /// One p-sensitivity violation: a QI-group in which some confidential
@@ -65,30 +65,9 @@ pub fn check_p_sensitivity(
     k: u32,
 ) -> PSensitivityReport {
     let groups = GroupBy::compute(table, keys);
-    let k_report = report_from_groups(&groups, k);
-    let mut violations = Vec::new();
-    for &attr in confidential {
-        let distinct = groups.distinct_per_group(table.column(attr));
-        for (g, &d) in distinct.iter().enumerate() {
-            if d < p {
-                violations.push(SensitivityViolation {
-                    group: g as u32,
-                    group_size: groups.sizes()[g],
-                    attribute: attr,
-                    attribute_name: table.schema().attribute(attr).name().to_owned(),
-                    distinct: d,
-                });
-            }
-        }
-    }
-    violations.sort_by_key(|v| (v.group, v.attribute));
-    PSensitivityReport {
-        p,
-        k,
-        k_anonymous: k_report.satisfied(),
-        n_groups: groups.n_groups(),
-        violations,
-    }
+    sensitivity_report(&groups, table.schema(), confidential, p, k, |attr| {
+        groups.distinct_per_group(table.column(attr))
+    })
 }
 
 /// [`check_p_sensitivity`] over a [`ChunkedTable`], chunk-parallel on
@@ -105,18 +84,32 @@ pub fn check_p_sensitivity_chunked(
     threads: usize,
 ) -> PSensitivityReport {
     let groups = GroupBy::compute_chunked(chunked, keys, threads);
-    let k_report = report_from_groups(&groups, k);
+    sensitivity_report(&groups, chunked.schema(), confidential, p, k, |attr| {
+        let (codes, n_codes) = chunked.dense_codes(attr, threads);
+        groups.distinct_codes_per_group(&codes, n_codes)
+    })
+}
+
+/// The report both checkers assemble from a grouping and `distinct_of`,
+/// which gives one confidential attribute's distinct count per group.
+fn sensitivity_report(
+    groups: &GroupBy,
+    schema: &Schema,
+    confidential: &[usize],
+    p: u32,
+    k: u32,
+    distinct_of: impl Fn(usize) -> Vec<u32>,
+) -> PSensitivityReport {
+    let k_report = report_from_groups(groups, k);
     let mut violations = Vec::new();
     for &attr in confidential {
-        let (codes, n_codes) = chunked.dense_codes(attr, threads);
-        let distinct = groups.distinct_codes_per_group(&codes, n_codes);
-        for (g, &d) in distinct.iter().enumerate() {
+        for (g, &d) in distinct_of(attr).iter().enumerate() {
             if d < p {
                 violations.push(SensitivityViolation {
                     group: g as u32,
                     group_size: groups.sizes()[g],
                     attribute: attr,
-                    attribute_name: chunked.schema().attribute(attr).name().to_owned(),
+                    attribute_name: schema.attribute(attr).name().to_owned(),
                     distinct: d,
                 });
             }
@@ -163,20 +156,9 @@ pub fn is_p_sensitive_k_anonymous(
 /// analyzing each group.
 pub fn max_p_of_masked(table: &Table, keys: &[usize], confidential: &[usize]) -> u32 {
     let groups = GroupBy::compute(table, keys);
-    if groups.n_groups() == 0 {
-        return 0;
-    }
-    confidential
-        .iter()
-        .map(|&attr| {
-            groups
-                .distinct_per_group(table.column(attr))
-                .into_iter()
-                .min()
-                .unwrap_or(0)
-        })
-        .min()
-        .unwrap_or(0)
+    min_distinct(&groups, confidential, |attr| {
+        groups.distinct_per_group(table.column(attr))
+    })
 }
 
 /// [`max_p_of_masked`] over a [`ChunkedTable`], chunk-parallel on `threads`
@@ -188,19 +170,25 @@ pub fn max_p_of_masked_chunked(
     threads: usize,
 ) -> u32 {
     let groups = GroupBy::compute_chunked(chunked, keys, threads);
+    min_distinct(&groups, confidential, |attr| {
+        let (codes, n_codes) = chunked.dense_codes(attr, threads);
+        groups.distinct_codes_per_group(&codes, n_codes)
+    })
+}
+
+/// The minimum of `distinct_of` over every group and confidential attribute;
+/// 0 when there are no groups.
+fn min_distinct(
+    groups: &GroupBy,
+    confidential: &[usize],
+    distinct_of: impl Fn(usize) -> Vec<u32>,
+) -> u32 {
     if groups.n_groups() == 0 {
         return 0;
     }
     confidential
         .iter()
-        .map(|&attr| {
-            let (codes, n_codes) = chunked.dense_codes(attr, threads);
-            groups
-                .distinct_codes_per_group(&codes, n_codes)
-                .into_iter()
-                .min()
-                .unwrap_or(0)
-        })
+        .map(|&attr| distinct_of(attr).into_iter().min().unwrap_or(0))
         .min()
         .unwrap_or(0)
 }

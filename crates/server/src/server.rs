@@ -44,10 +44,8 @@ use crate::protocol::{
 };
 use crate::registry::{parse_cells, RecoveryStats, Registry};
 use crate::state::{SnapshotStats, StateDir};
-use psens_algorithms::samarati::{
-    pk_minimal_generalization_model_with_stats, Pruning, SearchOutcome,
-};
-use psens_algorithms::Tuning;
+use psens_algorithms::samarati::{pk_minimal_generalization, SearchOutcome};
+use psens_algorithms::{SearchRequest, Tuning};
 use psens_core::{
     check_p_sensitivity, check_table_model, max_k, max_p_of_masked, CancelToken, ModelSpec,
     NoopObserver, SearchBudget,
@@ -1056,24 +1054,18 @@ fn anonymize_op(
             (Some(store), warm, table, stats)
         }
     };
-    let tuning = Tuning {
-        threads,
-        cache: store.as_deref(),
-        chunk_rows: 0,
+    let req = SearchRequest {
+        budget,
+        tuning: Tuning {
+            threads,
+            cache: store.as_deref(),
+            chunk_rows: 0,
+        },
+        stats: Some(&stats),
+        ..SearchRequest::new(spec, k, ts)
     };
-    let outcome = pk_minimal_generalization_model_with_stats(
-        &table,
-        &dataset.qi,
-        spec,
-        k,
-        ts,
-        Pruning::NecessaryConditions,
-        &budget,
-        tuning,
-        &NoopObserver,
-        &stats,
-    )
-    .map_err(|e| (codes::INTERNAL, e.to_string()))?;
+    let outcome = pk_minimal_generalization(&table, &dataset.qi, &req, &NoopObserver)
+        .map_err(|e| (codes::INTERNAL, e.to_string()))?;
     let mut result = JsonValue::object();
     result.set(
         "verdict",
@@ -1152,26 +1144,19 @@ fn watched_verdict(
     ts: usize,
     token: &CancelToken,
 ) -> Result<JsonValue, (&'static str, String)> {
-    let budget = SearchBudget::unlimited().with_cancel(token.clone());
     let (store, _, table, stats) = state.registry.snapshot_with_store(dataset, spec, k, ts);
-    let tuning = Tuning {
-        threads: 0,
-        cache: Some(&store),
-        chunk_rows: 0,
+    let req = SearchRequest {
+        budget: SearchBudget::unlimited().with_cancel(token.clone()),
+        tuning: Tuning {
+            threads: 0,
+            cache: Some(&store),
+            chunk_rows: 0,
+        },
+        stats: Some(&stats),
+        ..SearchRequest::new(spec, k, ts)
     };
-    let outcome = pk_minimal_generalization_model_with_stats(
-        &table,
-        &dataset.qi,
-        spec,
-        k,
-        ts,
-        Pruning::NecessaryConditions,
-        &budget,
-        tuning,
-        &NoopObserver,
-        &stats,
-    )
-    .map_err(|e| (codes::INTERNAL, e.to_string()))?;
+    let outcome = pk_minimal_generalization(&table, &dataset.qi, &req, &NoopObserver)
+        .map_err(|e| (codes::INTERNAL, e.to_string()))?;
     if !outcome.termination.is_complete() {
         return Err((
             codes::INTERRUPTED,

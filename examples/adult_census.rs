@@ -30,8 +30,9 @@ fn main() {
             // suppression budget, rare key combinations force generalization
             // as the sample grows (see EXPERIMENTS.md).
             let ts = 0;
-            let outcome =
-                k_minimal_generalization(table, &qi, k, ts).expect("hierarchies cover the data");
+            let req = SearchRequest::new(ModelSpec::PSensitiveK { p: 1 }, k, ts);
+            let outcome = pk_minimal_generalization(table, &qi, &req, &NoopObserver)
+                .expect("hierarchies cover the data");
             let (Some(node), Some(masked)) = (&outcome.node, &outcome.masked) else {
                 println!("{label} and {k}-anonymity: unsatisfiable");
                 continue;
@@ -51,9 +52,9 @@ fn main() {
     println!("\nRepairing the worst case with p-sensitive k-anonymity:\n");
     let ts = 0;
     for p in [2u32, 3] {
-        let outcome =
-            pk_minimal_generalization(&sample400, &qi, p, 2, ts, Pruning::NecessaryConditions)
-                .expect("hierarchies cover the data");
+        let req = SearchRequest::new(ModelSpec::PSensitiveK { p }, 2, ts);
+        let outcome = pk_minimal_generalization(&sample400, &qi, &req, &NoopObserver)
+            .expect("hierarchies cover the data");
         match (&outcome.node, &outcome.masked) {
             (Some(node), Some(masked)) => {
                 let keys = masked.schema().key_indices();
@@ -75,9 +76,10 @@ fn main() {
     }
 
     println!("\nUtility comparison (400-tuple sample, k = 2):");
-    let k_only = k_minimal_generalization(&sample400, &qi, 2, ts).unwrap();
-    let p_sens =
-        pk_minimal_generalization(&sample400, &qi, 2, 2, ts, Pruning::NecessaryConditions).unwrap();
+    let req = SearchRequest::new(ModelSpec::PSensitiveK { p: 1 }, 2, ts);
+    let k_only = pk_minimal_generalization(&sample400, &qi, &req, &NoopObserver).unwrap();
+    let req = SearchRequest::new(ModelSpec::PSensitiveK { p: 2 }, 2, ts);
+    let p_sens = pk_minimal_generalization(&sample400, &qi, &req, &NoopObserver).unwrap();
     for (label, outcome) in [("k-anonymity only", &k_only), ("2-sensitive", &p_sens)] {
         if let (Some(node), Some(masked)) = (&outcome.node, &outcome.masked) {
             let keys = masked.schema().key_indices();

@@ -33,14 +33,20 @@ fn main() {
     // 3a. Full-domain generalization: Algorithm 3 with the two conditions.
     let qi = adult_qi_space();
     let (p, k, ts) = (2u32, 3u32, 50usize);
-    let full_domain =
-        pk_minimal_generalization(&table, &qi, p, k, ts, Pruning::NecessaryConditions)
-            .expect("hierarchies cover the data");
+    let req = SearchRequest::new(ModelSpec::PSensitiveK { p }, k, ts);
+    let full_domain = pk_minimal_generalization(&table, &qi, &req, &NoopObserver)
+        .expect("hierarchies cover the data");
     let fd_masked = full_domain.masked.expect("satisfiable");
     let fd_node = full_domain.node.expect("satisfiable");
 
     // 3b. Mondrian local recoding with the same constraints.
-    let mondrian = mondrian_anonymize(&table, MondrianConfig { k, p }).unwrap();
+    let mondrian = mondrian_anonymize(
+        &table,
+        MondrianConfig { k, p },
+        &SearchBudget::unlimited(),
+        &NoopObserver,
+    )
+    .unwrap();
 
     // 4. Compare.
     let keys = fd_masked.schema().key_indices();

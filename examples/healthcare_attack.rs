@@ -111,9 +111,9 @@ fn main() {
         ),
     ])
     .expect("valid QI space");
-    let repaired =
-        pk_minimal_generalization(&masked, &repair_qi, 2, 2, 0, Pruning::NecessaryConditions)
-            .expect("hierarchies cover the data");
+    let req = SearchRequest::new(ModelSpec::PSensitiveK { p: 2 }, 2, 0);
+    let repaired = pk_minimal_generalization(&masked, &repair_qi, &req, &NoopObserver)
+        .expect("hierarchies cover the data");
     match (&repaired.node, &repaired.masked) {
         (Some(node), Some(table)) => {
             println!(

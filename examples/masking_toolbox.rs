@@ -72,8 +72,8 @@ fn main() {
 
     println!("\nnon-perturbative masking (the paper's choice):");
     let qi = psens::datasets::hierarchies::adult_qi_space();
-    let outcome =
-        pk_minimal_generalization(&initial, &qi, 2, 3, 20, Pruning::NecessaryConditions).unwrap();
+    let req = SearchRequest::new(ModelSpec::PSensitiveK { p: 2 }, 3, 20);
+    let outcome = pk_minimal_generalization(&initial, &qi, &req, &NoopObserver).unwrap();
     let masked = outcome.masked.expect("achievable");
     risk_line("2-sensitive 3-anonymous", &masked);
     println!(

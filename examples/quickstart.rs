@@ -42,7 +42,9 @@ fn main() {
     println!("{}", psens::microdata::render(&im, 12));
 
     let (p, k, ts) = (2, 2, 0);
-    let outcome = pk_minimal_generalization(&im, &qi, p, k, ts, Pruning::NecessaryConditions)
+    // A request defaults to Algorithm 3's necessary-condition pruning.
+    let req = SearchRequest::new(ModelSpec::PSensitiveK { p }, k, ts);
+    let outcome = pk_minimal_generalization(&im, &qi, &req, &NoopObserver)
         .expect("hierarchies cover the data");
     let node = outcome.node.expect("a p-k-minimal generalization exists");
     println!(

@@ -21,9 +21,10 @@
 //! // Hierarchies for Sex and ZipCode (Figure 1) spanning Figure 2's lattice.
 //! let qi = psens::datasets::hierarchies::figure2_qi_space();
 //!
-//! // Find a 2-sensitive 2-anonymous masking with no suppression.
-//! let outcome =
-//!     pk_minimal_generalization(&im, &qi, 2, 2, 0, Pruning::NecessaryConditions).unwrap();
+//! // Find a 2-sensitive 2-anonymous masking with no suppression, with
+//! // Algorithm 3's default necessary-condition pruning.
+//! let req = SearchRequest::new(ModelSpec::PSensitiveK { p: 2 }, 2, 0);
+//! let outcome = pk_minimal_generalization(&im, &qi, &req, &NoopObserver).unwrap();
 //! let masked = outcome.masked.expect("achievable");
 //!
 //! let keys = masked.schema().key_indices();
@@ -46,14 +47,14 @@ pub use psens_sql as sql;
 /// The most commonly used items, importable in one line.
 pub mod prelude {
     pub use psens_algorithms::{
-        exhaustive_scan, k_minimal_generalization, levelwise_minimal, mondrian_anonymize,
-        pk_minimal_generalization, MondrianConfig, Pruning,
+        exhaustive_scan, levelwise_minimal, mondrian_anonymize, pk_minimal_generalization,
+        MondrianConfig, Pruning, SearchRequest, Tuning,
     };
     pub use psens_core::{
         attribute_disclosure_count, check_improved, check_k_anonymity, check_p_sensitivity,
         check_p_sensitivity_chunked, is_k_anonymous, is_p_sensitive_k_anonymous, max_k,
         max_k_chunked, max_p_of_masked, max_p_of_masked_chunked, ConfidentialStats, MaskingContext,
-        MaxGroups,
+        MaxGroups, ModelSpec, NoopObserver, SearchBudget,
     };
     pub use psens_hierarchy::{builders, Hierarchy, Lattice, Node, QiSpace};
     pub use psens_metrics::{avg_class_size, discernibility, identity_risk, precision};

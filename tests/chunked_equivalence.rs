@@ -8,10 +8,8 @@
 //! dictionaries that the merge pass must unify).
 
 use proptest::prelude::*;
-use psens::algorithms::{
-    pk_minimal_generalization_budgeted, pk_minimal_generalization_tuned, Pruning, Tuning,
-};
-use psens::core::{NoopObserver, SearchBudget};
+use psens::algorithms::{pk_minimal_generalization, SearchRequest, Tuning};
+use psens::core::NoopObserver;
 use psens::hierarchy::QiSpace;
 use psens::prelude::*;
 use psens::sql::{execute, Catalog};
@@ -380,19 +378,14 @@ proptest! {
     ) {
         let t = build_table(&rows);
         let qi = qi_space();
-        let unlimited = SearchBudget::unlimited();
         let noop = NoopObserver;
-        let pruning = Pruning::NecessaryConditions;
-        let oracle =
-            pk_minimal_generalization_budgeted(&t, &qi, p, k, ts, pruning, &unlimited, &noop)
-                .unwrap();
+        let req = SearchRequest::new(ModelSpec::PSensitiveK { p }, k, ts);
+        let oracle = pk_minimal_generalization(&t, &qi, &req, &noop).unwrap();
         for chunk_rows in CHUNK_SIZES {
             for threads in THREADS {
                 let tuning = Tuning { threads, cache: None, chunk_rows };
-                let outcome = pk_minimal_generalization_tuned(
-                    &t, &qi, p, k, ts, pruning, &unlimited, tuning, &noop,
-                )
-                .unwrap();
+                let chunked = SearchRequest { tuning, ..req.clone() };
+                let outcome = pk_minimal_generalization(&t, &qi, &chunked, &noop).unwrap();
                 let setting = format!(
                     "p={p} k={k} ts={ts} chunk_rows={chunk_rows} threads={threads}"
                 );

@@ -8,12 +8,16 @@ use psens::metrics::{attribute_risk, identity_risk, precision};
 use psens::microdata::csv;
 use psens::prelude::*;
 
+/// A p-sensitive k-anonymity request with the default knobs.
+fn pk_request(p: u32, k: u32, ts: usize) -> SearchRequest<'static> {
+    SearchRequest::new(ModelSpec::PSensitiveK { p }, k, ts)
+}
+
 #[test]
 fn masked_release_resists_the_linkage_attack_when_p_is_2() {
     let im = AdultGenerator::new(99).generate(500);
     let qi = adult_qi_space();
-    let outcome =
-        pk_minimal_generalization(&im, &qi, 2, 2, 0, Pruning::NecessaryConditions).unwrap();
+    let outcome = pk_minimal_generalization(&im, &qi, &pk_request(2, 2, 0), &NoopObserver).unwrap();
     let node = outcome.node.expect("achievable");
     let masked = outcome.masked.unwrap();
 
@@ -45,14 +49,13 @@ fn k_only_release_is_attackable_p_release_is_not() {
         .project_names(&["Id", "Age", "MaritalStatus", "Race", "Sex"])
         .unwrap();
 
-    let k_only = k_minimal_generalization(&im, &qi, 2, 0).unwrap();
+    let k_only = pk_minimal_generalization(&im, &qi, &pk_request(1, 2, 0), &NoopObserver).unwrap();
     let k_node = k_only.node.unwrap();
     let k_masked = k_only.masked.unwrap();
     let k_findings = linkage_attack(&k_masked, &qi, &k_node, &external, "Id").unwrap();
     let k_leaks: usize = k_findings.iter().map(|f| f.learned.len()).sum();
 
-    let p_sens =
-        pk_minimal_generalization(&im, &qi, 2, 2, 0, Pruning::NecessaryConditions).unwrap();
+    let p_sens = pk_minimal_generalization(&im, &qi, &pk_request(2, 2, 0), &NoopObserver).unwrap();
     let p_node = p_sens.node.unwrap();
     let p_masked = p_sens.masked.unwrap();
     let p_findings = linkage_attack(&p_masked, &qi, &p_node, &external, "Id").unwrap();
@@ -68,7 +71,8 @@ fn privacy_utility_tradeoff_is_monotone_in_k() {
     let qi = adult_qi_space();
     let mut last_height = 0usize;
     for k in [2u32, 5, 10, 25] {
-        let outcome = k_minimal_generalization(&im, &qi, k, 30).unwrap();
+        let outcome =
+            pk_minimal_generalization(&im, &qi, &pk_request(1, k, 30), &NoopObserver).unwrap();
         let node = outcome.node.expect("achievable with suppression");
         let masked = outcome.masked.unwrap();
         let keys = masked.schema().key_indices();
@@ -89,7 +93,7 @@ fn csv_export_of_masked_release_reimports_identically() {
     let im = AdultGenerator::new(11).generate(300);
     let qi = adult_qi_space();
     let outcome =
-        pk_minimal_generalization(&im, &qi, 2, 3, 10, Pruning::NecessaryConditions).unwrap();
+        pk_minimal_generalization(&im, &qi, &pk_request(2, 3, 10), &NoopObserver).unwrap();
     let masked = outcome.masked.expect("achievable");
     let text = csv::to_csv_string(&masked, true);
     let back = csv::read_table_str(&text, masked.schema().clone(), true).unwrap();
@@ -100,7 +104,7 @@ fn csv_export_of_masked_release_reimports_identically() {
 fn attribute_risk_report_is_consistent_with_checker() {
     let im = AdultGenerator::new(13).generate(500);
     let qi = adult_qi_space();
-    let outcome = k_minimal_generalization(&im, &qi, 2, 0).unwrap();
+    let outcome = pk_minimal_generalization(&im, &qi, &pk_request(1, 2, 0), &NoopObserver).unwrap();
     let masked = outcome.masked.unwrap();
     let keys = masked.schema().key_indices();
     let conf = masked.schema().confidential_indices();

@@ -122,12 +122,16 @@ proptest! {
     ) {
         let t = build_table(&rows);
         let qi = qi_space();
-        let mut exhaustive = exhaustive_scan(&t, &qi, p, k, ts).unwrap().minimal;
-        let mut levelwise = levelwise_minimal(&t, &qi, p, k, ts).unwrap().minimal;
+        let req = pk_request(p, k, ts);
+        let mut exhaustive = exhaustive_scan(&t, &qi, &req, &NoopObserver).unwrap().minimal;
+        let mut levelwise = levelwise_minimal(&t, &qi, &req, &NoopObserver).unwrap().minimal;
         let mut incognito =
-            psens::algorithms::incognito_minimal(&t, &qi, p, k, ts).unwrap().minimal;
-        let parallel =
-            psens::algorithms::parallel_exhaustive_scan(&t, &qi, p, k, ts, 3).unwrap();
+            psens::algorithms::incognito_minimal(&t, &qi, &req, &NoopObserver).unwrap().minimal;
+        let three_threads = SearchRequest {
+            tuning: Tuning { threads: 3, ..Tuning::default() },
+            ..req
+        };
+        let parallel = exhaustive_scan(&t, &qi, &three_threads, &NoopObserver).unwrap();
         let mut par_minimal = parallel.minimal;
         exhaustive.sort();
         levelwise.sort();
@@ -156,6 +160,11 @@ proptest! {
         // distinct_l is exactly max_p.
         prop_assert_eq!(report.distinct_l, max_p_of_masked(&t, &[0, 1], &[2]));
     }
+}
+
+/// A p-sensitive k-anonymity request with the default knobs.
+fn pk_request(p: u32, k: u32, ts: usize) -> SearchRequest<'static> {
+    SearchRequest::new(ModelSpec::PSensitiveK { p }, k, ts)
 }
 
 #[test]

@@ -23,13 +23,9 @@
 //! to drop-everything.
 
 use proptest::prelude::*;
-use psens::algorithms::{
-    pk_minimal_generalization_model, pk_minimal_generalization_model_with_stats, Pruning, Tuning,
-};
+use psens::algorithms::{pk_minimal_generalization, SearchOutcome, SearchRequest, Tuning};
 use psens::core::evaluator::EvalContext;
-use psens::core::{
-    invalidation_for, LiveTable, ModelSpec, NoopObserver, SearchBudget, VerdictStore,
-};
+use psens::core::{invalidation_for, LiveTable, ModelSpec, NoopObserver, VerdictStore};
 use psens::prelude::*;
 use psens_testkit::deltas::{delta_script, DeltaRng};
 use psens_testkit::spaces::search_qi_space;
@@ -82,19 +78,9 @@ fn scratch_search(
     spec: ModelSpec,
     k: u32,
     ts: usize,
-) -> psens::algorithms::SearchOutcome {
-    pk_minimal_generalization_model(
-        table,
-        qi,
-        spec,
-        k,
-        ts,
-        Pruning::NecessaryConditions,
-        &SearchBudget::unlimited(),
-        Tuning::default(),
-        &NoopObserver,
-    )
-    .expect("scratch search")
+) -> SearchOutcome {
+    pk_minimal_generalization(table, qi, &SearchRequest::new(spec, k, ts), &NoopObserver)
+        .expect("scratch search")
 }
 
 /// Sums of the per-store invalidation counters across a whole run.
@@ -125,18 +111,16 @@ fn assert_incremental_matches_scratch(
         .iter()
         .map(|&spec| {
             let store = VerdictStore::for_model(&qi.lattice(), ts, spec.is_monotone());
-            let baseline = pk_minimal_generalization_model(
+            let baseline = pk_minimal_generalization(
                 base,
                 &qi,
-                spec,
-                k,
-                ts,
-                Pruning::NecessaryConditions,
-                &SearchBudget::unlimited(),
-                Tuning {
-                    threads: 1,
-                    cache: Some(&store),
-                    chunk_rows: 0,
+                &SearchRequest {
+                    tuning: Tuning {
+                        threads: 1,
+                        cache: Some(&store),
+                        chunk_rows: 0,
+                    },
+                    ..SearchRequest::new(spec, k, ts)
                 },
                 &NoopObserver,
             )
@@ -206,21 +190,19 @@ fn assert_incremental_matches_scratch(
             // thread count.
             let truth = scratch_search(live.table(), &qi, *spec, k, ts);
             for threads in THREADS {
-                let incremental = pk_minimal_generalization_model_with_stats(
+                let incremental = pk_minimal_generalization(
                     live.table(),
                     &qi,
-                    *spec,
-                    k,
-                    ts,
-                    Pruning::NecessaryConditions,
-                    &SearchBudget::unlimited(),
-                    Tuning {
-                        threads,
-                        cache: Some(store),
-                        chunk_rows: 0,
+                    &SearchRequest {
+                        tuning: Tuning {
+                            threads,
+                            cache: Some(store),
+                            chunk_rows: 0,
+                        },
+                        stats: Some(&stats),
+                        ..SearchRequest::new(*spec, k, ts)
                     },
                     &NoopObserver,
-                    &stats,
                 )
                 .expect("incremental search");
                 let setting = format!("step {step_ix} model {spec:?} threads {threads}");

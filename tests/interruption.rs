@@ -12,14 +12,13 @@
 //!    in `worker_failures`, and the process does not abort.
 
 use psens::algorithms::{
-    exhaustive_scan, exhaustive_scan_budgeted, exhaustive_scan_tuned, greedy_pk_cluster_budgeted,
-    incognito_minimal_budgeted, levelwise_minimal_budgeted, levelwise_minimal_tuned,
-    mondrian_anonymize_budgeted, parallel_exhaustive_scan, parallel_exhaustive_scan_budgeted,
-    pk_minimal_generalization_budgeted, pk_minimal_generalization_tuned, ClusterError,
-    GreedyClusterConfig, MondrianConfig, Pruning, Tuning,
+    exhaustive_scan, greedy_pk_cluster, incognito_minimal, levelwise_minimal, mondrian_anonymize,
+    pk_minimal_generalization, ClusterError, GreedyClusterConfig, MondrianConfig, SearchRequest,
+    Tuning,
 };
 use psens::core::{
-    CancelToken, CheckStage, NoopObserver, SearchBudget, SearchObserver, Termination, VerdictStore,
+    CancelToken, CheckStage, ModelSpec, NoopObserver, SearchBudget, SearchObserver, Termination,
+    VerdictStore,
 };
 use psens::datasets::hierarchies::{adult_qi_space, figure2_qi_space};
 use psens::datasets::paper::figure3_microdata;
@@ -27,59 +26,68 @@ use psens::datasets::AdultGenerator;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
+/// A p-sensitive k-anonymity request under `budget`.
+fn budgeted(p: u32, k: u32, ts: usize, budget: SearchBudget) -> SearchRequest<'static> {
+    SearchRequest {
+        budget,
+        ..SearchRequest::new(ModelSpec::PSensitiveK { p }, k, ts)
+    }
+}
+
+fn threads(threads: usize) -> Tuning<'static> {
+    Tuning {
+        threads,
+        ..Tuning::default()
+    }
+}
+
 #[test]
 fn node_budgets_stop_every_algorithm_with_the_right_verdict() {
     let im = AdultGenerator::new(90).generate(300);
     let qi = adult_qi_space();
     let budget = SearchBudget::unlimited().with_max_nodes(3);
+    let req = budgeted(2, 2, 15, budget.clone());
 
-    let full = exhaustive_scan(&im, &qi, 2, 2, 15).unwrap();
+    let unlimited = SearchRequest::new(ModelSpec::PSensitiveK { p: 2 }, 2, 15);
+    let full = exhaustive_scan(&im, &qi, &unlimited, &NoopObserver).unwrap();
     assert!(full.stats.nodes_evaluated > 3, "budget must actually bind");
 
     // Exhaustive: the node budget is exact — three admissions, three nodes.
-    let ex = exhaustive_scan_budgeted(&im, &qi, 2, 2, 15, &budget, &NoopObserver).unwrap();
+    let ex = exhaustive_scan(&im, &qi, &req, &NoopObserver).unwrap();
     assert_eq!(ex.termination, Termination::NodeBudgetExhausted);
     assert_eq!(ex.stats.nodes_evaluated, 3);
 
     // The shared budget is global across workers, so the parallel scan
     // admits the same total.
-    let par =
-        parallel_exhaustive_scan_budgeted(&im, &qi, 2, 2, 15, 4, &budget, &NoopObserver).unwrap();
+    let parallel = SearchRequest {
+        tuning: threads(4),
+        ..req.clone()
+    };
+    let par = exhaustive_scan(&im, &qi, &parallel, &NoopObserver).unwrap();
     assert_eq!(par.termination, Termination::NodeBudgetExhausted);
     assert_eq!(par.stats.nodes_evaluated, 3);
 
-    let sam = pk_minimal_generalization_budgeted(
-        &im,
-        &qi,
-        2,
-        2,
-        15,
-        Pruning::NecessaryConditions,
-        &budget,
-        &NoopObserver,
-    )
-    .unwrap();
+    let sam = pk_minimal_generalization(&im, &qi, &req, &NoopObserver).unwrap();
     assert_eq!(sam.termination, Termination::NodeBudgetExhausted);
     assert!(sam.stats.nodes_evaluated <= 3);
 
-    let lw = levelwise_minimal_budgeted(&im, &qi, 2, 2, 15, &budget, &NoopObserver).unwrap();
+    let lw = levelwise_minimal(&im, &qi, &req, &NoopObserver).unwrap();
     assert_eq!(lw.termination, Termination::NodeBudgetExhausted);
     assert!(lw.stats.nodes_evaluated <= 3);
 
-    let inc = incognito_minimal_budgeted(&im, &qi, 2, 2, 15, &budget, &NoopObserver).unwrap();
+    let inc = incognito_minimal(&im, &qi, &req, &NoopObserver).unwrap();
     assert_eq!(inc.termination, Termination::NodeBudgetExhausted);
 
     // Mondrian finalizes pending partitions and stays a valid cover.
     let mon =
-        mondrian_anonymize_budgeted(&im, MondrianConfig { k: 5, p: 1 }, &budget, &NoopObserver)
-            .unwrap();
+        mondrian_anonymize(&im, MondrianConfig { k: 5, p: 1 }, &budget, &NoopObserver).unwrap();
     assert_eq!(mon.termination, Termination::NodeBudgetExhausted);
     let covered: usize = mon.partitions.iter().map(Vec::len).sum();
     assert_eq!(covered, im.n_rows());
 
     // Greedy clustering: three coarse units cannot finish one k = 4 cluster,
     // so the run reports interruption rather than an empty success.
-    let err = greedy_pk_cluster_budgeted(
+    let err = greedy_pk_cluster(
         &im,
         GreedyClusterConfig { k: 4, p: 2 },
         &budget,
@@ -97,36 +105,16 @@ fn interrupted_runs_are_deterministic() {
     let im = AdultGenerator::new(91).generate(250);
     let qi = adult_qi_space();
     for n in [0u64, 1, 5, 17] {
-        let budget = SearchBudget::unlimited().with_max_nodes(n);
-        let a = exhaustive_scan_budgeted(&im, &qi, 2, 2, 10, &budget, &NoopObserver).unwrap();
-        let b = exhaustive_scan_budgeted(&im, &qi, 2, 2, 10, &budget, &NoopObserver).unwrap();
+        let req = budgeted(2, 2, 10, SearchBudget::unlimited().with_max_nodes(n));
+        let a = exhaustive_scan(&im, &qi, &req, &NoopObserver).unwrap();
+        let b = exhaustive_scan(&im, &qi, &req, &NoopObserver).unwrap();
         assert_eq!(a.satisfying, b.satisfying, "n={n}");
         assert_eq!(a.annotations, b.annotations, "n={n}");
         assert_eq!(a.stats, b.stats, "n={n}");
         assert_eq!(a.termination, b.termination, "n={n}");
 
-        let sa = pk_minimal_generalization_budgeted(
-            &im,
-            &qi,
-            2,
-            2,
-            10,
-            Pruning::NecessaryConditions,
-            &budget,
-            &NoopObserver,
-        )
-        .unwrap();
-        let sb = pk_minimal_generalization_budgeted(
-            &im,
-            &qi,
-            2,
-            2,
-            10,
-            Pruning::NecessaryConditions,
-            &budget,
-            &NoopObserver,
-        )
-        .unwrap();
+        let sa = pk_minimal_generalization(&im, &qi, &req, &NoopObserver).unwrap();
+        let sb = pk_minimal_generalization(&im, &qi, &req, &NoopObserver).unwrap();
         assert_eq!(sa.node, sb.node, "n={n}");
         assert_eq!(sa.proven_min_height, sb.proven_min_height, "n={n}");
         assert_eq!(sa.stats, sb.stats, "n={n}");
@@ -152,17 +140,9 @@ fn cancellation_equals_an_equivalent_node_budget() {
     let im = AdultGenerator::new(92).generate(200);
     let qi = adult_qi_space();
     for n in [1u64, 4, 9] {
-        let budgeted = exhaustive_scan_budgeted(
-            &im,
-            &qi,
-            2,
-            2,
-            10,
-            &SearchBudget::unlimited().with_max_nodes(n),
-            &NoopObserver,
-        )
-        .unwrap();
-        assert_eq!(budgeted.termination, Termination::NodeBudgetExhausted);
+        let req = budgeted(2, 2, 10, SearchBudget::unlimited().with_max_nodes(n));
+        let budgeted_run = exhaustive_scan(&im, &qi, &req, &NoopObserver).unwrap();
+        assert_eq!(budgeted_run.termination, Termination::NodeBudgetExhausted);
 
         // Cancel after exactly n checks; a check interval of 1 makes the
         // trip visible at the very next admission.
@@ -171,25 +151,17 @@ fn cancellation_equals_an_equivalent_node_budget() {
             token: token.clone(),
             remaining: AtomicU64::new(n),
         };
-        let cancelled = exhaustive_scan_budgeted(
-            &im,
-            &qi,
-            2,
-            2,
-            10,
-            &SearchBudget::unlimited()
-                .with_cancel(token)
-                .with_check_interval(1),
-            &observer,
-        )
-        .unwrap();
+        let budget = SearchBudget::unlimited()
+            .with_cancel(token)
+            .with_check_interval(1);
+        let cancelled = exhaustive_scan(&im, &qi, &budgeted(2, 2, 10, budget), &observer).unwrap();
         assert_eq!(cancelled.termination, Termination::Cancelled, "n={n}");
         assert_eq!(
-            budgeted.stats.nodes_evaluated,
+            budgeted_run.stats.nodes_evaluated,
             cancelled.stats.nodes_evaluated
         );
-        assert_eq!(budgeted.satisfying, cancelled.satisfying, "n={n}");
-        assert_eq!(budgeted.annotations, cancelled.annotations, "n={n}");
+        assert_eq!(budgeted_run.satisfying, cancelled.satisfying, "n={n}");
+        assert_eq!(budgeted_run.annotations, cancelled.annotations, "n={n}");
     }
 }
 
@@ -197,8 +169,13 @@ fn cancellation_equals_an_equivalent_node_budget() {
 fn an_already_expired_deadline_trips_before_any_work() {
     let im = figure3_microdata();
     let qi = figure2_qi_space();
-    let budget = SearchBudget::unlimited().with_timeout(Duration::ZERO);
-    let outcome = exhaustive_scan_budgeted(&im, &qi, 1, 2, 0, &budget, &NoopObserver).unwrap();
+    let req = budgeted(
+        1,
+        2,
+        0,
+        SearchBudget::unlimited().with_timeout(Duration::ZERO),
+    );
+    let outcome = exhaustive_scan(&im, &qi, &req, &NoopObserver).unwrap();
     assert_eq!(outcome.termination, Termination::DeadlineExceeded);
     assert_eq!(outcome.stats.nodes_evaluated, 0);
 }
@@ -219,22 +196,16 @@ fn a_panicking_worker_loses_only_its_own_chunk() {
     let im = figure3_microdata();
     let qi = figure2_qi_space();
     // 6 lattice nodes across 4 requested workers -> 3 chunks of 2 nodes.
-    let full = parallel_exhaustive_scan(&im, &qi, 1, 2, 0, 4).unwrap();
+    let req = SearchRequest {
+        tuning: threads(4),
+        ..SearchRequest::new(ModelSpec::PSensitiveK { p: 1 }, 2, 0)
+    };
+    let full = exhaustive_scan(&im, &qi, &req, &NoopObserver).unwrap();
     assert_eq!(full.stats.nodes_evaluated, 6);
     assert_eq!(full.stats.worker_failures, 0);
 
     let observer = PanicOnce(AtomicBool::new(false));
-    let outcome = parallel_exhaustive_scan_budgeted(
-        &im,
-        &qi,
-        1,
-        2,
-        0,
-        4,
-        &SearchBudget::unlimited(),
-        &observer,
-    )
-    .unwrap();
+    let outcome = exhaustive_scan(&im, &qi, &req, &observer).unwrap();
     // Exactly one worker panicked (on its first node), losing its 2-node
     // chunk; the other two chunks complete normally.
     assert_eq!(outcome.stats.worker_failures, 1);
@@ -254,10 +225,10 @@ fn replayed_verdicts_do_not_consume_the_node_budget() {
     let qi = adult_qi_space();
     let (p, k, ts) = (2u32, 2u32, 10usize);
     let lattice = qi.lattice();
-    let budget = SearchBudget::unlimited().with_max_nodes(10);
+    let cold_req = budgeted(p, k, ts, SearchBudget::unlimited().with_max_nodes(10));
 
     // Cold, the ten-node budget binds and every admission is a fresh check.
-    let cold = exhaustive_scan_budgeted(&im, &qi, p, k, ts, &budget, &NoopObserver).unwrap();
+    let cold = exhaustive_scan(&im, &qi, &cold_req, &NoopObserver).unwrap();
     assert_eq!(cold.termination, Termination::NodeBudgetExhausted);
     assert_eq!(cold.stats.nodes_evaluated, 10);
 
@@ -268,7 +239,11 @@ fn replayed_verdicts_do_not_consume_the_node_budget() {
         cache: Some(&store),
         chunk_rows: 0,
     };
-    let first = exhaustive_scan_tuned(&im, &qi, p, k, ts, &budget, tuning, &NoopObserver).unwrap();
+    let warm_req = SearchRequest {
+        tuning,
+        ..cold_req.clone()
+    };
+    let first = exhaustive_scan(&im, &qi, &warm_req, &NoopObserver).unwrap();
     assert_eq!(first.stats.nodes_evaluated, 10);
     assert_eq!(first.annotations, cold.annotations);
 
@@ -276,7 +251,7 @@ fn replayed_verdicts_do_not_consume_the_node_budget() {
     // consuming admissions, so ten new nodes are admitted and the scan gets
     // strictly further: producing the cold run's ten annotations cost zero
     // fresh evaluations this time.
-    let second = exhaustive_scan_tuned(&im, &qi, p, k, ts, &budget, tuning, &NoopObserver).unwrap();
+    let second = exhaustive_scan(&im, &qi, &warm_req, &NoopObserver).unwrap();
     assert_eq!(second.stats.cache_hits, 10);
     assert_eq!(second.stats.nodes_evaluated, 10);
     assert_eq!(second.annotations.len(), 20);
@@ -284,10 +259,12 @@ fn replayed_verdicts_do_not_consume_the_node_budget() {
 
     // A fully warm store completes under the tripping budget with zero
     // fresh evaluations — strictly fewer than the cold run's ten.
-    let unlimited = SearchBudget::unlimited();
-    let full =
-        exhaustive_scan_tuned(&im, &qi, p, k, ts, &unlimited, tuning, &NoopObserver).unwrap();
-    let warm = exhaustive_scan_tuned(&im, &qi, p, k, ts, &budget, tuning, &NoopObserver).unwrap();
+    let unlimited = SearchRequest {
+        tuning,
+        ..SearchRequest::new(ModelSpec::PSensitiveK { p }, k, ts)
+    };
+    let full = exhaustive_scan(&im, &qi, &unlimited, &NoopObserver).unwrap();
+    let warm = exhaustive_scan(&im, &qi, &warm_req, &NoopObserver).unwrap();
     assert_eq!(warm.termination, Termination::Completed);
     assert_eq!(warm.stats.nodes_evaluated, 0);
     assert!(warm.stats.nodes_evaluated < cold.stats.nodes_evaluated);
@@ -312,28 +289,24 @@ fn inferred_verdicts_never_count_against_the_budget() {
         cache: Some(&store),
         chunk_rows: 0,
     };
-    let unlimited = SearchBudget::unlimited();
 
     // A completed level-wise pass settles the whole lattice: evaluated nodes
     // hold exact verdicts, rolled-up nodes only inferred ones.
-    levelwise_minimal_tuned(&im, &qi, p, k, ts, &unlimited, tuning, &NoopObserver).unwrap();
+    let settle = SearchRequest {
+        tuning,
+        ..SearchRequest::new(ModelSpec::PSensitiveK { p }, k, ts)
+    };
+    levelwise_minimal(&im, &qi, &settle, &NoopObserver).unwrap();
 
     // Under a zero-node budget any admission trips immediately, so the only
     // way the binary search can finish is if every probe — including those
     // answered purely by inference — bypasses budget accounting.
-    let zero = SearchBudget::unlimited().with_max_nodes(0);
-    let warm = pk_minimal_generalization_tuned(
-        &im,
-        &qi,
-        p,
-        k,
-        ts,
-        Pruning::NecessaryConditions,
-        &zero,
+    let cold_req = budgeted(p, k, ts, SearchBudget::unlimited().with_max_nodes(0));
+    let warm_req = SearchRequest {
         tuning,
-        &NoopObserver,
-    )
-    .unwrap();
+        ..cold_req.clone()
+    };
+    let warm = pk_minimal_generalization(&im, &qi, &warm_req, &NoopObserver).unwrap();
     assert_eq!(warm.termination, Termination::Completed);
     assert_eq!(warm.stats.nodes_evaluated, 0);
     assert!(
@@ -342,16 +315,6 @@ fn inferred_verdicts_never_count_against_the_budget() {
     );
 
     // Cold, the same zero budget trips before any work.
-    let cold = pk_minimal_generalization_budgeted(
-        &im,
-        &qi,
-        p,
-        k,
-        ts,
-        Pruning::NecessaryConditions,
-        &zero,
-        &NoopObserver,
-    )
-    .unwrap();
+    let cold = pk_minimal_generalization(&im, &qi, &cold_req, &NoopObserver).unwrap();
     assert_eq!(cold.termination, Termination::NodeBudgetExhausted);
 }

@@ -13,37 +13,16 @@
 //!   lattices, not just at winners.
 
 use proptest::prelude::*;
-use psens::algorithms::{pk_minimal_generalization_model, Pruning, Tuning};
-use psens::core::{EvalContext, ModelSpec, NodeCheck, NoopObserver, SearchBudget};
+use psens::algorithms::{pk_minimal_generalization, SearchOutcome, SearchRequest};
+use psens::core::{EvalContext, ModelSpec, NodeCheck, NoopObserver};
 use psens::datasets::hierarchies::{adult_qi_space, adult_wide_qi_space};
 use psens::datasets::AdultGenerator;
 use psens::hierarchy::QiSpace;
 use psens::prelude::*;
 
 /// The serial, trait-driven search for `spec` with everything else fixed.
-fn search_model(
-    table: &Table,
-    qi: &QiSpace,
-    spec: ModelSpec,
-    k: u32,
-    ts: usize,
-) -> psens::algorithms::SearchOutcome {
-    pk_minimal_generalization_model(
-        table,
-        qi,
-        spec,
-        k,
-        ts,
-        Pruning::NecessaryConditions,
-        &SearchBudget::unlimited(),
-        Tuning {
-            threads: 1,
-            cache: None,
-            chunk_rows: 0,
-        },
-        &NoopObserver,
-    )
-    .unwrap()
+fn search_model(table: &Table, qi: &QiSpace, spec: ModelSpec, k: u32, ts: usize) -> SearchOutcome {
+    pk_minimal_generalization(table, qi, &SearchRequest::new(spec, k, ts), &NoopObserver).unwrap()
 }
 
 /// Asserts the p = 1 / l = 1 reductions against the plain k-anonymity
@@ -54,7 +33,13 @@ fn assert_reductions_match_k_anonymity(
     k: u32,
     ts: usize,
 ) -> Result<(), TestCaseError> {
-    let k_only = k_minimal_generalization(table, qi, k, ts).unwrap();
+    let k_only = pk_minimal_generalization(
+        table,
+        qi,
+        &SearchRequest::new(ModelSpec::PSensitiveK { p: 1 }, k, ts),
+        &NoopObserver,
+    )
+    .unwrap();
     for spec in [
         ModelSpec::PSensitiveK { p: 1 },
         ModelSpec::DistinctL { l: 1 },

@@ -7,6 +7,11 @@ use psens::datasets::hierarchies::{adult_qi_space, figure2_qi_space};
 use psens::datasets::paper::*;
 use psens::prelude::*;
 
+/// A p-sensitive k-anonymity request with the default knobs.
+fn pk_request(p: u32, k: u32, ts: usize) -> SearchRequest<'static> {
+    SearchRequest::new(ModelSpec::PSensitiveK { p }, k, ts)
+}
+
 #[test]
 fn table1_is_2_anonymous_with_one_attribute_disclosure() {
     let mm = table1_patients();
@@ -93,7 +98,7 @@ fn figure2_lattice_heights() {
 fn figure3_violation_annotations() {
     let im = figure3_microdata();
     let qi = figure2_qi_space();
-    let scan = exhaustive_scan(&im, &qi, 1, 3, 0).unwrap();
+    let scan = exhaustive_scan(&im, &qi, &pk_request(1, 3, 0), &NoopObserver).unwrap();
     let find = |levels: Vec<u8>| {
         scan.annotations
             .iter()
@@ -123,7 +128,9 @@ fn table4_cells_exact() {
         (10, &[&[0, 0]]),
     ];
     for &(ts, expected) in cases {
-        let mut minimal = exhaustive_scan(&im, &qi, 1, 3, ts).unwrap().minimal;
+        let mut minimal = exhaustive_scan(&im, &qi, &pk_request(1, 3, ts), &NoopObserver)
+            .unwrap()
+            .minimal;
         minimal.sort();
         let mut expected: Vec<Node> = expected.iter().map(|l| Node(l.to_vec())).collect();
         expected.sort();
@@ -170,7 +177,8 @@ fn table8_shape_holds() {
     for table in [&s400, &s4000] {
         let mut row = Vec::new();
         for k in [2u32, 3] {
-            let outcome = k_minimal_generalization(table, &qi, k, 0).unwrap();
+            let outcome =
+                pk_minimal_generalization(table, &qi, &pk_request(1, k, 0), &NoopObserver).unwrap();
             let masked = outcome.masked.unwrap();
             let keys = masked.schema().key_indices();
             let conf = masked.schema().confidential_indices();
@@ -197,7 +205,7 @@ fn p_sensitive_search_eliminates_all_disclosures() {
     let qi = adult_qi_space();
     let (s400, _) = psens::datasets::paper_samples();
     let outcome =
-        pk_minimal_generalization(&s400, &qi, 2, 2, 0, Pruning::NecessaryConditions).unwrap();
+        pk_minimal_generalization(&s400, &qi, &pk_request(2, 2, 0), &NoopObserver).unwrap();
     let masked = outcome.masked.expect("p = 2 is achievable");
     let keys = masked.schema().key_indices();
     let conf = masked.schema().confidential_indices();

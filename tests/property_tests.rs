@@ -264,7 +264,9 @@ proptest! {
         p in 1u32..3,
     ) {
         let t = build_table(&rows);
-        let outcome = mondrian_anonymize(&t, MondrianConfig { k, p }).unwrap();
+        let unlimited = SearchBudget::unlimited();
+        let outcome =
+            mondrian_anonymize(&t, MondrianConfig { k, p }, &unlimited, &NoopObserver).unwrap();
         // Disjoint cover.
         let mut seen = vec![false; t.n_rows()];
         for partition in &outcome.partitions {

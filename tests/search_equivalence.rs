@@ -1,29 +1,38 @@
-//! Differential-oracle equivalence of the tuned searches against their
-//! serial, uncached counterparts.
+//! Differential-oracle equivalence of every lattice search, driven through
+//! its single [`SearchRequest`] entry point, against its serial, uncached,
+//! pruned counterpart.
 //!
 //! For proptest-generated tables and (p, k, TS) configurations, every
-//! combination of `threads ∈ {1, 2, 8}` and cache on/off must reproduce the
-//! historical results node-for-node:
+//! combination of `pruning ∈ {None, NecessaryConditions}`,
+//! `threads ∈ {1, 2, 8}` and cache on/off must reproduce the oracle's
+//! results node-for-node:
 //!
 //! - Samarati's binary search returns the same winning node and the same
 //!   proven height bound;
 //! - the level-wise search returns the same minimal set in the same order,
 //!   with the same completed height;
-//! - the exhaustive scans (serial and parallel) return identical per-node
-//!   annotations — the strongest form of "cached verdicts equal uncached
-//!   verdicts", since every `(node, violating_tuples)` pair is compared;
+//! - the exhaustive scan (serial at one thread, chunked otherwise) returns
+//!   identical satisfying and minimal sets and per-node annotations — the
+//!   strongest form of "cached verdicts equal uncached verdicts", since
+//!   every `(node, violating_tuples)` pair is compared;
 //! - Incognito returns the same minimal set.
 //!
-//! One [`VerdictStore`] is shared across all strategies and thread counts
-//! within a configuration: replayed and inferred verdicts must never change
-//! any result, only skip work.
+//! Pruning may only change *where* a check settles: without it no fresh
+//! check is rejected by Condition 1 or 2. One [`VerdictStore`] is shared
+//! across all strategies, pruning modes and thread counts within a
+//! configuration: replayed and inferred verdicts must never change any
+//! result, only skip work.
+//!
+//! Known case outside the pruning axis: when Condition 1 fails and TS lets
+//! a node suppress every tuple, the pruned searches call the instance
+//! unsatisfiable, while the unpruned kernel accepts the empty release (it
+//! has no group to violate). Such configurations run pruned only; see
+//! `fully_suppressed_release_is_unsatisfiable_when_condition1_fails`.
 
 use proptest::prelude::*;
 use psens::algorithms::{
-    exhaustive_scan_budgeted, exhaustive_scan_tuned, incognito_minimal_budgeted,
-    incognito_minimal_tuned, levelwise_minimal_budgeted, levelwise_minimal_tuned,
-    parallel_exhaustive_scan_tuned, pk_minimal_generalization_budgeted,
-    pk_minimal_generalization_tuned, Pruning, SearchStats, Tuning,
+    exhaustive_scan, incognito_minimal, levelwise_minimal, pk_minimal_generalization, Pruning,
+    SearchRequest, SearchStats, Tuning,
 };
 use psens::core::{NoopObserver, SearchBudget, VerdictStore};
 use psens::hierarchy::QiSpace;
@@ -49,116 +58,123 @@ fn test_qi_space() -> QiSpace {
     search_qi_space()
 }
 
-/// The stage partition must survive every tuning: cache hits and inferred
-/// verdicts stay outside it.
-fn assert_partition_holds(stats: &SearchStats, setting: &str) -> Result<(), TestCaseError> {
+/// The stage partition must survive every request: cache hits and inferred
+/// verdicts stay outside it, and without pruning no fresh check settles at
+/// a necessary condition.
+fn assert_partition_holds(
+    stats: &SearchStats,
+    pruning: Pruning,
+    setting: &str,
+) -> Result<(), TestCaseError> {
     prop_assert_eq!(
         stats.total_rejections() + stats.nodes_passed,
         stats.nodes_evaluated,
         "stage partition: {}",
         setting
     );
+    if pruning == Pruning::None {
+        prop_assert_eq!(
+            stats.rejected_condition1 + stats.rejected_condition2,
+            0,
+            "unpruned condition rejections: {}",
+            setting
+        );
+    }
     Ok(())
 }
 
-/// Runs every tuned search under every `(threads, cache)` combination and
-/// compares each against its serial, uncached oracle.
-fn assert_tuned_searches_match_serial(
+/// Runs every lattice search under every `(pruning, cache, threads)`
+/// combination and compares each against its default-request oracle.
+fn assert_searches_match_oracles(
     table: &Table,
     qi: &QiSpace,
     p: u32,
     k: u32,
     ts: usize,
 ) -> Result<(), TestCaseError> {
-    let unlimited = SearchBudget::unlimited();
     let noop = NoopObserver;
-    let pruning = Pruning::NecessaryConditions;
-
-    let sam0 = pk_minimal_generalization_budgeted(table, qi, p, k, ts, pruning, &unlimited, &noop)
-        .unwrap();
-    let lw0 = levelwise_minimal_budgeted(table, qi, p, k, ts, &unlimited, &noop).unwrap();
-    let ex0 = exhaustive_scan_budgeted(table, qi, p, k, ts, &unlimited, &noop).unwrap();
-    let mut inc0 = incognito_minimal_budgeted(table, qi, p, k, ts, &unlimited, &noop)
+    let oracle = SearchRequest::new(ModelSpec::PSensitiveK { p }, k, ts);
+    let sam0 = pk_minimal_generalization(table, qi, &oracle, &noop).unwrap();
+    let lw0 = levelwise_minimal(table, qi, &oracle, &noop).unwrap();
+    let ex0 = exhaustive_scan(table, qi, &oracle, &noop).unwrap();
+    let mut inc0 = incognito_minimal(table, qi, &oracle, &noop)
         .unwrap()
         .minimal;
     inc0.sort();
 
+    // The known pruned/unpruned disagreement on fully suppressed releases
+    // (see the module docs): compare the pruned searches only.
+    let prunings: &[Pruning] = if sam0.stats.aborted_condition1 && ts >= table.n_rows() {
+        &[Pruning::NecessaryConditions]
+    } else {
+        &[Pruning::None, Pruning::NecessaryConditions]
+    };
+
     let lattice = qi.lattice();
     let store = VerdictStore::new(&lattice, ts);
-    for cache in [None, Some(&store)] {
-        for threads in [1usize, 2, 8] {
-            let tuning = Tuning {
-                threads,
-                cache,
-                chunk_rows: 0,
-            };
-            let setting = format!(
-                "p={p} k={k} ts={ts} threads={threads} cache={}",
-                cache.is_some()
-            );
+    for &pruning in prunings {
+        for cache in [None, Some(&store)] {
+            for threads in [1usize, 2, 8] {
+                let req = SearchRequest {
+                    pruning,
+                    tuning: Tuning {
+                        threads,
+                        cache,
+                        chunk_rows: 0,
+                    },
+                    ..oracle.clone()
+                };
+                let setting = format!(
+                    "p={p} k={k} ts={ts} pruning={pruning:?} threads={threads} cache={}",
+                    cache.is_some()
+                );
 
-            let sam = pk_minimal_generalization_tuned(
-                table, qi, p, k, ts, pruning, &unlimited, tuning, &noop,
-            )
-            .unwrap();
-            prop_assert_eq!(&sam.node, &sam0.node, "samarati node: {}", &setting);
-            prop_assert_eq!(
-                sam.proven_min_height,
-                sam0.proven_min_height,
-                "samarati height bound: {}",
-                &setting
-            );
-            prop_assert_eq!(sam.suppressed, sam0.suppressed, "suppressed: {}", &setting);
-            assert_partition_holds(&sam.stats, &setting)?;
+                let sam = pk_minimal_generalization(table, qi, &req, &noop).unwrap();
+                prop_assert_eq!(&sam.node, &sam0.node, "samarati node: {}", &setting);
+                prop_assert_eq!(
+                    sam.proven_min_height,
+                    sam0.proven_min_height,
+                    "samarati height bound: {}",
+                    &setting
+                );
+                prop_assert_eq!(sam.suppressed, sam0.suppressed, "suppressed: {}", &setting);
+                assert_partition_holds(&sam.stats, pruning, &setting)?;
 
-            let lw =
-                levelwise_minimal_tuned(table, qi, p, k, ts, &unlimited, tuning, &noop).unwrap();
-            prop_assert_eq!(&lw.minimal, &lw0.minimal, "levelwise minimal: {}", &setting);
-            prop_assert_eq!(
-                lw.completed_height,
-                lw0.completed_height,
-                "levelwise completed height: {}",
-                &setting
-            );
-            assert_partition_holds(&lw.stats, &setting)?;
+                let lw = levelwise_minimal(table, qi, &req, &noop).unwrap();
+                prop_assert_eq!(&lw.minimal, &lw0.minimal, "levelwise minimal: {}", &setting);
+                prop_assert_eq!(
+                    lw.completed_height,
+                    lw0.completed_height,
+                    "levelwise completed height: {}",
+                    &setting
+                );
+                assert_partition_holds(&lw.stats, pruning, &setting)?;
 
-            let ex = exhaustive_scan_tuned(table, qi, p, k, ts, &unlimited, tuning, &noop).unwrap();
-            prop_assert_eq!(
-                &ex.annotations,
-                &ex0.annotations,
-                "exhaustive annotations: {}",
-                &setting
-            );
-            prop_assert_eq!(
-                &ex.minimal,
-                &ex0.minimal,
-                "exhaustive minimal: {}",
-                &setting
-            );
-            assert_partition_holds(&ex.stats, &setting)?;
+                let ex = exhaustive_scan(table, qi, &req, &noop).unwrap();
+                prop_assert_eq!(
+                    &ex.annotations,
+                    &ex0.annotations,
+                    "exhaustive annotations: {}",
+                    &setting
+                );
+                prop_assert_eq!(
+                    &ex.satisfying,
+                    &ex0.satisfying,
+                    "exhaustive satisfying: {}",
+                    &setting
+                );
+                prop_assert_eq!(
+                    &ex.minimal,
+                    &ex0.minimal,
+                    "exhaustive minimal: {}",
+                    &setting
+                );
+                assert_partition_holds(&ex.stats, pruning, &setting)?;
 
-            let par =
-                parallel_exhaustive_scan_tuned(table, qi, p, k, ts, &unlimited, tuning, &noop)
-                    .unwrap();
-            prop_assert_eq!(
-                &par.annotations,
-                &ex0.annotations,
-                "parallel annotations: {}",
-                &setting
-            );
-            prop_assert_eq!(
-                &par.satisfying,
-                &ex0.satisfying,
-                "parallel satisfying: {}",
-                &setting
-            );
-            assert_partition_holds(&par.stats, &setting)?;
-
-            let mut inc = incognito_minimal_tuned(table, qi, p, k, ts, &unlimited, tuning, &noop)
-                .unwrap()
-                .minimal;
-            inc.sort();
-            prop_assert_eq!(&inc, &inc0, "incognito minimal: {}", &setting);
+                let mut inc = incognito_minimal(table, qi, &req, &noop).unwrap().minimal;
+                inc.sort();
+                prop_assert_eq!(&inc, &inc0, "incognito minimal: {}", &setting);
+            }
         }
     }
     Ok(())
@@ -168,7 +184,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The main oracle: random tables, random thresholds, all strategies,
-    /// all tunings, one shared store.
+    /// both pruning modes, all tunings, one shared store.
     #[test]
     fn tuned_searches_equal_serial_uncached_oracles(
         rows in prop::collection::vec(arb_row(), 1..40),
@@ -177,7 +193,7 @@ proptest! {
         ts in 0usize..6,
     ) {
         let t = build_table(&rows);
-        assert_tuned_searches_match_serial(&t, &test_qi_space(), p, k, ts)?;
+        assert_searches_match_oracles(&t, &test_qi_space(), p, k, ts)?;
     }
 
     /// Degenerate thresholds: k beyond the table size (everything fails
@@ -191,9 +207,30 @@ proptest! {
         let t = build_table(&rows);
         let k = t.n_rows() as u32 + 1;
         let ts = t.n_rows();
-        assert_tuned_searches_match_serial(&t, &test_qi_space(), p, k, ts)?;
-        assert_tuned_searches_match_serial(&t, &test_qi_space(), p, k, 0)?;
+        assert_searches_match_oracles(&t, &test_qi_space(), p, k, ts)?;
+        assert_searches_match_oracles(&t, &test_qi_space(), p, k, 0)?;
     }
+}
+
+/// Figure 3 at p = 4 (Illness has 3 distinct values) with TS = 10 = n: every
+/// default-request search agrees that no masking satisfies the request,
+/// although ⟨S0, Z0⟩ suppresses all ten tuples. This is the configuration
+/// the pruning axis above leaves out.
+#[test]
+fn fully_suppressed_release_is_unsatisfiable_when_condition1_fails() {
+    let im = psens::datasets::paper::figure3_microdata();
+    let qi = psens::datasets::hierarchies::figure2_qi_space();
+    let req = SearchRequest::new(ModelSpec::PSensitiveK { p: 4 }, 3, im.n_rows());
+    let sam = pk_minimal_generalization(&im, &qi, &req, &NoopObserver).unwrap();
+    assert_eq!(sam.node, None);
+    assert!(sam.stats.aborted_condition1);
+    assert_eq!(sam.proven_min_height, qi.lattice().height() + 1);
+    let lw = levelwise_minimal(&im, &qi, &req, &NoopObserver).unwrap();
+    assert!(lw.minimal.is_empty());
+    let ex = exhaustive_scan(&im, &qi, &req, &NoopObserver).unwrap();
+    assert!(ex.satisfying.is_empty() && ex.minimal.is_empty());
+    let inc = incognito_minimal(&im, &qi, &req, &NoopObserver).unwrap();
+    assert!(inc.minimal.is_empty());
 }
 
 /// A store fully warmed by one strategy answers a different strategy's whole
@@ -211,42 +248,38 @@ fn a_levelwise_warmed_store_answers_the_whole_binary_search() {
         cache: Some(&store),
         chunk_rows: 0,
     };
-    let unlimited = SearchBudget::unlimited();
 
     // A completed level-wise run settles every lattice node: evaluated
     // nodes exactly, rolled-up nodes by upward closure from their children.
-    let lw =
-        levelwise_minimal_tuned(&im, &qi, p, k, ts, &unlimited, tuning, &NoopObserver).unwrap();
+    let lw = levelwise_minimal(
+        &im,
+        &qi,
+        &SearchRequest {
+            tuning,
+            ..SearchRequest::new(ModelSpec::PSensitiveK { p }, k, ts)
+        },
+        &NoopObserver,
+    )
+    .unwrap();
     assert!(lw.stats.nodes_evaluated > 0);
 
     // Samarati then completes without a single fresh kernel check, even
     // under a zero-node budget.
-    let zero = SearchBudget::unlimited().with_max_nodes(0);
-    let warm = pk_minimal_generalization_tuned(
-        &im,
-        &qi,
-        p,
-        k,
-        ts,
-        Pruning::NecessaryConditions,
-        &zero,
+    let zero = SearchRequest {
+        budget: SearchBudget::unlimited().with_max_nodes(0),
         tuning,
-        &NoopObserver,
-    )
-    .unwrap();
+        ..SearchRequest::new(ModelSpec::PSensitiveK { p }, k, ts)
+    };
+    let warm = pk_minimal_generalization(&im, &qi, &zero, &NoopObserver).unwrap();
     assert_eq!(warm.termination, psens::core::Termination::Completed);
     assert_eq!(warm.stats.nodes_evaluated, 0);
     assert!(warm.stats.cache_hits + warm.stats.cache_inferred > 0);
 
     // And its answer matches the cold serial oracle.
-    let cold = pk_minimal_generalization_budgeted(
+    let cold = pk_minimal_generalization(
         &im,
         &qi,
-        p,
-        k,
-        ts,
-        Pruning::NecessaryConditions,
-        &unlimited,
+        &SearchRequest::new(ModelSpec::PSensitiveK { p }, k, ts),
         &NoopObserver,
     )
     .unwrap();

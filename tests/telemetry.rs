@@ -4,15 +4,19 @@
 //! (with a recording or a no-op observer) must never change its outcome.
 
 use psens::algorithms::{
-    exhaustive_scan, exhaustive_scan_observed, levelwise_minimal, levelwise_minimal_observed,
-    mondrian_anonymize, mondrian_anonymize_observed, parallel_exhaustive_scan_observed,
-    pk_minimal_generalization, pk_minimal_generalization_observed, MondrianConfig, Pruning,
+    exhaustive_scan, levelwise_minimal, mondrian_anonymize, pk_minimal_generalization,
+    MondrianConfig, SearchRequest, Tuning,
 };
 use psens::core::observe::stage_index;
-use psens::core::{CheckStage, RecordingObserver};
+use psens::core::{CheckStage, ModelSpec, NoopObserver, RecordingObserver, SearchBudget};
 use psens::datasets::hierarchies::figure2_qi_space;
 use psens::datasets::paper::figure3_microdata;
 use psens::datasets::AdultGenerator;
+
+/// 2-sensitive 2-anonymity without suppression on the paper's Figure 3.
+fn figure3_request() -> SearchRequest<'static> {
+    SearchRequest::new(ModelSpec::PSensitiveK { p: 2 }, 2, 0)
+}
 
 /// Per-stage telemetry must mirror the search's stage counters exactly: the
 /// observer saw every node check settle in the stage the stats recorded.
@@ -21,7 +25,7 @@ fn exhaustive_telemetry_mirrors_search_stats() {
     let im = figure3_microdata();
     let qi = figure2_qi_space();
     let obs = RecordingObserver::new();
-    let outcome = exhaustive_scan_observed(&im, &qi, 2, 2, 0, &obs).unwrap();
+    let outcome = exhaustive_scan(&im, &qi, &figure3_request(), &obs).unwrap();
     let t = obs.telemetry();
 
     assert_eq!(t.nodes_checked() as usize, outcome.stats.nodes_evaluated);
@@ -57,9 +61,7 @@ fn samarati_telemetry_follows_probe_order() {
     let im = figure3_microdata();
     let qi = figure2_qi_space();
     let obs = RecordingObserver::new();
-    let outcome =
-        pk_minimal_generalization_observed(&im, &qi, 2, 2, 0, Pruning::NecessaryConditions, &obs)
-            .unwrap();
+    let outcome = pk_minimal_generalization(&im, &qi, &figure3_request(), &obs).unwrap();
     assert!(outcome.node.is_some());
     let t = obs.telemetry();
     assert_eq!(t.heights_entered, outcome.stats.heights_probed);
@@ -75,7 +77,7 @@ fn levelwise_heights_are_entered_bottom_up() {
     let im = figure3_microdata();
     let qi = figure2_qi_space();
     let obs = RecordingObserver::new();
-    let outcome = levelwise_minimal_observed(&im, &qi, 2, 2, 0, &obs).unwrap();
+    let outcome = levelwise_minimal(&im, &qi, &figure3_request(), &obs).unwrap();
     let t = obs.telemetry();
     assert!(!t.heights_entered.is_empty());
     assert!(t.heights_entered.windows(2).all(|w| w[0] < w[1]));
@@ -90,7 +92,14 @@ fn parallel_scan_shares_one_observer_across_workers() {
     let im = AdultGenerator::new(3).generate(400);
     let qi = psens::datasets::hierarchies::adult_qi_space();
     let obs = RecordingObserver::new();
-    let outcome = parallel_exhaustive_scan_observed(&im, &qi, 2, 3, 20, 4, &obs).unwrap();
+    let req = SearchRequest {
+        tuning: Tuning {
+            threads: 4,
+            ..Tuning::default()
+        },
+        ..SearchRequest::new(ModelSpec::PSensitiveK { p: 2 }, 3, 20)
+    };
+    let outcome = exhaustive_scan(&im, &qi, &req, &obs).unwrap();
     let t = obs.telemetry();
     assert_eq!(t.nodes_checked() as usize, outcome.stats.nodes_evaluated);
     assert_eq!(outcome.stats.nodes_evaluated, outcome.stats.lattice_nodes);
@@ -102,7 +111,13 @@ fn parallel_scan_shares_one_observer_across_workers() {
 fn mondrian_partitions_are_all_reported() {
     let im = AdultGenerator::new(4).generate(300);
     let obs = RecordingObserver::new();
-    let outcome = mondrian_anonymize_observed(&im, MondrianConfig { k: 5, p: 2 }, &obs).unwrap();
+    let outcome = mondrian_anonymize(
+        &im,
+        MondrianConfig { k: 5, p: 2 },
+        &SearchBudget::unlimited(),
+        &obs,
+    )
+    .unwrap();
     let t = obs.telemetry();
     assert_eq!(t.partitions_finalized as usize, outcome.partitions.len());
     assert_eq!(t.partition_rows as usize, im.n_rows());
@@ -115,38 +130,38 @@ fn observers_change_no_search_outcome() {
     let im = figure3_microdata();
     let qi = figure2_qi_space();
 
-    let plain = exhaustive_scan(&im, &qi, 2, 2, 0).unwrap();
-    let observed = exhaustive_scan_observed(&im, &qi, 2, 2, 0, &RecordingObserver::new()).unwrap();
+    let plain = exhaustive_scan(&im, &qi, &figure3_request(), &NoopObserver).unwrap();
+    let observed =
+        exhaustive_scan(&im, &qi, &figure3_request(), &RecordingObserver::new()).unwrap();
     assert_eq!(plain.minimal, observed.minimal);
     assert_eq!(plain.satisfying, observed.satisfying);
     assert_eq!(plain.annotations, observed.annotations);
     assert_eq!(plain.stats, observed.stats);
 
-    let plain = pk_minimal_generalization(&im, &qi, 2, 2, 0, Pruning::NecessaryConditions).unwrap();
-    let observed = pk_minimal_generalization_observed(
-        &im,
-        &qi,
-        2,
-        2,
-        0,
-        Pruning::NecessaryConditions,
-        &RecordingObserver::new(),
-    )
-    .unwrap();
+    let plain = pk_minimal_generalization(&im, &qi, &figure3_request(), &NoopObserver).unwrap();
+    let observed =
+        pk_minimal_generalization(&im, &qi, &figure3_request(), &RecordingObserver::new()).unwrap();
     assert_eq!(plain.node, observed.node);
     assert_eq!(plain.suppressed, observed.suppressed);
     assert_eq!(plain.stats, observed.stats);
 
-    let plain = levelwise_minimal(&im, &qi, 2, 2, 0).unwrap();
+    let plain = levelwise_minimal(&im, &qi, &figure3_request(), &NoopObserver).unwrap();
     let observed =
-        levelwise_minimal_observed(&im, &qi, 2, 2, 0, &RecordingObserver::new()).unwrap();
+        levelwise_minimal(&im, &qi, &figure3_request(), &RecordingObserver::new()).unwrap();
     assert_eq!(plain.minimal, observed.minimal);
     assert_eq!(plain.stats, observed.stats);
 
-    let plain = mondrian_anonymize(&im, MondrianConfig { k: 2, p: 1 }).unwrap();
-    let observed = mondrian_anonymize_observed(
+    let plain = mondrian_anonymize(
         &im,
         MondrianConfig { k: 2, p: 1 },
+        &SearchBudget::unlimited(),
+        &NoopObserver,
+    )
+    .unwrap();
+    let observed = mondrian_anonymize(
+        &im,
+        MondrianConfig { k: 2, p: 1 },
+        &SearchBudget::unlimited(),
         &RecordingObserver::new(),
     )
     .unwrap();

@@ -16,6 +16,8 @@ fn greedy_clustering_cross_validates_with_the_checker() {
         let outcome = psens::algorithms::greedy_pk_cluster(
             &im,
             psens::algorithms::GreedyClusterConfig { k, p },
+            &SearchBudget::unlimited(),
+            &NoopObserver,
         )
         .unwrap();
         let keys = outcome.masked.schema().key_indices();
@@ -38,14 +40,25 @@ fn three_local_recoders_ranked_by_group_count() {
     let qi = psens::datasets::hierarchies::adult_qi_space();
     let (k, p) = (4u32, 2u32);
 
-    let full = pk_minimal_generalization(&im, &qi, p, k, 25, Pruning::NecessaryConditions).unwrap();
+    let req = SearchRequest::new(ModelSpec::PSensitiveK { p }, k, 25);
+    let full = pk_minimal_generalization(&im, &qi, &req, &NoopObserver).unwrap();
     let fd = full.masked.unwrap();
     let fd_groups = GroupBy::compute(&fd, &fd.schema().key_indices()).n_groups();
 
-    let mondrian = mondrian_anonymize(&im, MondrianConfig { k, p }).unwrap();
-    let greedy =
-        psens::algorithms::greedy_pk_cluster(&im, psens::algorithms::GreedyClusterConfig { k, p })
-            .unwrap();
+    let mondrian = mondrian_anonymize(
+        &im,
+        MondrianConfig { k, p },
+        &SearchBudget::unlimited(),
+        &NoopObserver,
+    )
+    .unwrap();
+    let greedy = psens::algorithms::greedy_pk_cluster(
+        &im,
+        psens::algorithms::GreedyClusterConfig { k, p },
+        &SearchBudget::unlimited(),
+        &NoopObserver,
+    )
+    .unwrap();
 
     assert!(mondrian.partitions.len() >= fd_groups);
     assert!(greedy.partitions.len() >= fd_groups);
@@ -73,8 +86,8 @@ fn microaggregation_then_generalization_composes() {
     let age = im.schema().index_of("Age").unwrap();
     let pre = microaggregate_univariate(&im, age, 5).unwrap();
     let qi = psens::datasets::hierarchies::adult_qi_space();
-    let outcome =
-        pk_minimal_generalization(&pre, &qi, 2, 3, 20, Pruning::NecessaryConditions).unwrap();
+    let req = SearchRequest::new(ModelSpec::PSensitiveK { p: 2 }, 3, 20);
+    let outcome = pk_minimal_generalization(&pre, &qi, &req, &NoopObserver).unwrap();
     let masked = outcome.masked.expect("achievable");
     let keys = masked.schema().key_indices();
     let conf = masked.schema().confidential_indices();
