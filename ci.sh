@@ -108,48 +108,27 @@ done
 cmp "$SMOKE_DIR/model_psens-k.csv" "$SMOKE_DIR/model_distinct-l.csv" \
   || { echo "psens-k(p=2) and distinct-l(l=2) releases diverged"; exit 1; }
 
-echo "==> smoke: chunked ingest matches buffered check at 1 and 8 threads"
-# The in-process thread × chunk matrix lives in tests/chunked_equivalence.rs
-# and tests/csv_streaming.rs (run by `cargo test` above). This stage drives
-# the same invariant end to end through the CLI: `check` must print the same
-# bytes and exit with the same code whether the CSV is buffered or streamed
-# in chunks, serial or 8-way parallel.
-buffered_code=0
-"$PSENS" check --spec "$SMOKE_DIR/spec.json" --input "$SMOKE_DIR/data.csv" \
-  --k 3 --p 2 > "$SMOKE_DIR/check_buffered" || buffered_code=$?
-for threads in 1 8; do
-  for chunk_rows in 1000 4096; do
-    code=0
-    "$PSENS" check --spec "$SMOKE_DIR/spec.json" --input "$SMOKE_DIR/data.csv" \
-      --k 3 --p 2 --chunk-rows "$chunk_rows" --threads "$threads" \
-      > "$SMOKE_DIR/check_chunked" || code=$?
-    [ "$code" -eq "$buffered_code" ] \
-      || { echo "chunked check exit $code != buffered $buffered_code (chunk_rows=$chunk_rows threads=$threads)"; exit 1; }
-    cmp "$SMOKE_DIR/check_buffered" "$SMOKE_DIR/check_chunked" \
-      || { echo "chunked check output diverged (chunk_rows=$chunk_rows threads=$threads)"; exit 1; }
-  done
-done
-
 echo "==> smoke: 10M-row streaming ingest stays under a 2 GB memory ceiling"
-# Chunked ingest holds one 100k-row slab at a time, so checking the ~486 MB
-# 10M-row scale CSV peaks around 0.7 GB (columnar table + group-by scratch)
-# and clears a 2 GB address-space ceiling. The buffered reader needs ~5.5 GB
-# to hold the text plus per-field strings; the control run proves the
-# ceiling is binding, not generous.
-"$PSENS" generate --profile scale --rows 10000000 --seed 1 --chunk-rows 100000 \
+# `check` streams the CSV into the columnar table through 64 KiB reads and
+# never holds the file's text, so checking the ~486 MB 10M-row scale CSV
+# peaks well under a 2 GB address-space ceiling (columnar table + group-by
+# scratch). The control run proves the ceiling is binding, not generous:
+# `query` without --spec infers the schema, which still buffers the whole
+# text plus per-field strings (~5.5 GB).
+"$PSENS" generate --profile scale --rows 10000000 --seed 1 \
   --out "$SMOKE_DIR/scale.csv" > /dev/null
 "$PSENS" spec --profile scale --out "$SMOKE_DIR/scale_spec.json" > /dev/null
 code=0
 ( ulimit -v 2000000
   exec "$PSENS" check --spec "$SMOKE_DIR/scale_spec.json" --input "$SMOKE_DIR/scale.csv" \
-    --chunk-rows 100000 --k 1 --p 1 --threads 1 > "$SMOKE_DIR/scale_check" 2>&1 ) || code=$?
-[ "$code" -eq 0 ] || { echo "chunked check broke the memory ceiling (exit $code)"; cat "$SMOKE_DIR/scale_check"; exit 1; }
+    --k 1 --p 1 > "$SMOKE_DIR/scale_check" 2>&1 ) || code=$?
+[ "$code" -eq 0 ] || { echo "streaming check broke the memory ceiling (exit $code)"; cat "$SMOKE_DIR/scale_check"; exit 1; }
 grep -q 'rows: 10000000' "$SMOKE_DIR/scale_check"
 code=0
 ( ulimit -v 2000000
-  exec "$PSENS" check --spec "$SMOKE_DIR/scale_spec.json" --input "$SMOKE_DIR/scale.csv" \
-    --k 1 --p 1 --threads 1 > /dev/null 2>&1 ) || code=$?
-[ "$code" -ne 0 ] || { echo "ceiling not binding: buffered check fit in 2 GB"; exit 1; }
+  exec "$PSENS" query --input "$SMOKE_DIR/scale.csv" \
+    --sql "SELECT COUNT(*) FROM data" > /dev/null 2>&1 ) || code=$?
+[ "$code" -ne 0 ] || { echo "ceiling not binding: schema-inferring query fit in 2 GB"; exit 1; }
 
 echo "==> smoke: psens-server boot, mixed load, warm==cold verdicts, SIGINT shutdown"
 # Boot the daemon on an ephemeral port; --addr-file hands the bound address
@@ -427,20 +406,5 @@ find . -name '*.proptest-regressions' -not -path './target/*' | while read -r re
       ;;
   esac
 done
-
-echo "==> gate: chunked group-by thread scaling (threads=8 vs 1 at 10M rows)"
-# The morsel executor must actually buy wall-clock on real parallelism:
-# on hosts with >= 4 cores, 8 threads must beat 1 thread or the gate fails.
-# On smaller hosts the binary prints a loud SKIPPED banner and exits 0 —
-# a 1-core box cannot demonstrate scaling, and pretending it passed would
-# hide real regressions. The bench crate is outside the default member set
-# but this bin has no external dependencies, so the build stays offline.
-# `--out` routes the measurements through the validated emission path
-# (write, re-read, byte-compare, re-parse): an emission failure turns the
-# gate red even when the perf check passed, so a truncated BENCH file can
-# never masquerade as a green run.
-cargo build --release --locked -p psens-bench --bin chunked_scaling
-target/release/chunked_scaling --gate --out "$SMOKE_DIR/gate.json"
-[ -s "$SMOKE_DIR/gate.json" ] || { echo "gate did not emit its BENCH JSON"; exit 1; }
 
 echo "CI OK"

@@ -21,7 +21,7 @@
 //! - the kept/invalidated counters are published, so a classifier that
 //!   silently degrades to drop-everything is visible in the artifact.
 //!
-//! Like `chunked_scaling`, this is a plain binary with no dev-dependencies
+//! Like `node_eval_baseline`, this is a plain binary with no dev-dependencies
 //! and runs in the hermetic (offline) build.
 
 use psens_algorithms::{pk_minimal_generalization, SearchRequest, Tuning};
@@ -211,7 +211,7 @@ fn render_json(reports: &[SizeReport], host_parallelism: usize) -> String {
     out
 }
 
-/// Validated emission, same contract as `chunked_scaling`: with `--out`,
+/// Validated emission: with `--out`,
 /// write + re-read + byte-compare + re-parse, and any failure is loud.
 fn emit(text: &str, out_path: Option<&str>) -> Result<(), String> {
     match out_path {

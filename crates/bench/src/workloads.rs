@@ -1,25 +1,13 @@
 //! Shared workload builders used by both the experiment runner and the
 //! Criterion benches.
 
-use psens_datasets::{AdultGenerator, ScaleGenerator};
-use psens_microdata::{Attribute, ChunkedTable, Schema, Table, TableBuilder, Value};
+use psens_datasets::AdultGenerator;
+use psens_microdata::{Attribute, Schema, Table, TableBuilder, Value};
 
 /// A synthetic Adult table of `n` rows with a seed derived from `n` (so
 /// benches at different scales are independent but reproducible).
 pub fn adult(n: usize) -> Table {
     AdultGenerator::new(0xBE7C_0000 ^ n as u64).generate(n)
-}
-
-/// An Adult-shaped scale table of `n` rows (no identifier/weight columns)
-/// streamed straight into `chunk_rows`-row column chunks, seed derived from
-/// `n` like [`adult`]. The scale workload for the chunked group-by benches.
-pub fn scale_chunked(n: usize, chunk_rows: usize) -> ChunkedTable {
-    let generator = ScaleGenerator::new(0x5CA1_E000 ^ n as u64);
-    let mut out = ChunkedTable::new(ScaleGenerator::schema(), chunk_rows);
-    for chunk in generator.chunks(n, chunk_rows) {
-        out.push_chunk(chunk);
-    }
-    out
 }
 
 /// The wide 8-QI synthetic Adult table (pairs with
@@ -77,13 +65,6 @@ mod tests {
     fn adult_workload_sizes() {
         assert_eq!(adult(123).n_rows(), 123);
         assert_eq!(adult_wide(45).n_rows(), 45);
-    }
-
-    #[test]
-    fn scale_workload_chunks() {
-        let chunked = scale_chunked(1000, 256);
-        assert_eq!(chunked.n_rows(), 1000);
-        assert_eq!(chunked.n_chunks(), 4);
     }
 
     #[test]

@@ -9,14 +9,13 @@ use psens_algorithms::{RunReport, SearchRequest, SearchStats, TerminationReport,
 use psens_core::conditions::{ConfidentialStats, MaxGroups};
 use psens_core::VerdictStore;
 use psens_core::{
-    check_p_sensitivity, check_p_sensitivity_chunked, check_table_model, max_k, max_k_chunked,
-    max_p_of_masked, max_p_of_masked_chunked, CheckStage, ModelSpec, SearchBudget, SearchObserver,
-    Termination,
+    check_p_sensitivity, check_table_model, max_k, max_p_of_masked, CheckStage, ModelSpec,
+    SearchBudget, SearchObserver, Termination,
 };
 use psens_datasets::Spec;
 use psens_datasets::{AdultGenerator, ScaleGenerator};
 use psens_metrics::{attribute_risk, identity_risk};
-use psens_microdata::{csv, ChunkedTable, JsonValue, Table};
+use psens_microdata::{csv, JsonValue, Table};
 use std::time::{Duration, Instant};
 
 /// Exit code for a run whose *verdict* is negative (property violated,
@@ -63,7 +62,7 @@ USAGE:
 COMMANDS:
   generate   Generate synthetic microdata
              --rows N [--seed S] --out FILE.csv
-             [--profile adult|scale] [--chunk-rows N]
+             [--profile adult|scale]
              [--deltas N --deltas-out FILE.jsonl [--final-out FILE.csv]]
              profile `scale` drops the identifier/weight columns and
              streams to disk chunk by chunk: bounded memory at any --rows
@@ -77,12 +76,10 @@ COMMANDS:
              [--model psens-k|distinct-l|entropy-l|t-closeness]
              [--p P] [--l L] [--t T]  (--p for psens-k, --l for the
              l-diversity models, --t in [0,1] for t-closeness)
-             [--chunk-rows N] [--threads N]
              [--report FILE.json] [--verbose]
              exits 2 when the property is violated
   analyze    Print frequency statistics, condition bounds, and risks
              --spec SPEC.json --input FILE.csv [--p P]
-             [--chunk-rows N] [--threads N]
              [--report FILE.json] [--verbose]
              exits 2 when Condition 1 makes the requested p unsatisfiable
   anonymize  Produce a masked release
@@ -103,7 +100,7 @@ COMMANDS:
              --node L1,L2,... --identifier NAME
   query      Run a SQL statement against a CSV file (table name: data)
              --input FILE.csv --sql STATEMENT [--spec SPEC.json]
-             [--chunk-rows N] (chunked ingest needs --spec)
+             (without --spec, schema inference buffers the whole file)
   client     Send one request to a running psens-server
              --addr HOST:PORT | --addr-file PATH
              --op register|check|analyze|anonymize|query|update|watch|
@@ -134,10 +131,11 @@ COMMANDS:
              commands (2 verdict violation, 3 interrupted search)
   help       Show this message
 
-  --chunk-rows N streams the input CSV in N-row column chunks instead of
-  buffering the whole file, and runs group-by and node checks morsel-parallel
-  across --threads workers. Results are identical to the buffered path;
-  0 (the default) keeps the historical single-table code.
+  Inputs read against a --spec stream into the columnar table without
+  buffering the CSV text.
+  anonymize --chunk-rows N runs each node check's group-by morsel-parallel
+  across --threads workers in N-row morsels. Results are identical to the
+  serial path; 0 (the default) keeps the serial kernel.
   --threads 0 (the default) means one worker per available core.
 ";
 
@@ -215,27 +213,13 @@ impl BudgetSpec {
     }
 }
 
+/// Streams the `--input` CSV into a table against the spec's schema,
+/// without holding the file's text.
 fn load_table(args: &Args, spec: &Spec) -> Result<Table, String> {
-    let path = args.require("input")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let schema = spec.schema().map_err(|e| e.to_string())?;
-    csv::read_table_str(&text, schema, true).map_err(|e| e.to_string())
-}
-
-/// Streams the `--input` CSV into `chunk_rows`-row column chunks without
-/// buffering the file (the `--chunk-rows` ingest path).
-fn load_chunked(args: &Args, spec: &Spec, chunk_rows: usize) -> Result<ChunkedTable, String> {
     let path = args.require("input")?;
     let file = std::fs::File::open(path).map_err(|e| format!("reading {path}: {e}"))?;
     let schema = spec.schema().map_err(|e| e.to_string())?;
-    csv::read_chunked(std::io::BufReader::new(file), schema, true, chunk_rows)
-        .map_err(|e| e.to_string())
-}
-
-/// The `--chunk-rows` option: `0` (the default) keeps the buffered
-/// single-table path.
-fn chunk_rows_arg(args: &Args) -> Result<usize, String> {
-    args.get_usize("chunk-rows", 0)
+    csv::read_table(std::io::BufReader::new(file), schema, true).map_err(|e| e.to_string())
 }
 
 /// The `--threads` option: `0` (also the default when the flag is absent)
@@ -409,22 +393,18 @@ fn generate(args: &Args) -> Result<String, String> {
             }
         }
         "scale" => {
-            // Stream chunk by chunk so --rows 10000000 never holds more
-            // than one chunk (plus the write buffer) in memory.
-            let chunk_rows = match chunk_rows_arg(args)? {
-                0 => 65_536,
-                n => n,
-            };
-            let mut writer = std::io::BufWriter::new(&mut file);
+            // Stream batch by batch so --rows 10000000 never holds more
+            // than one batch in memory; the output does not depend on the
+            // batch size.
             let mut header = true;
-            for chunk in ScaleGenerator::new(seed).chunks(rows, chunk_rows) {
-                csv::write_table(&mut writer, &chunk, header).map_err(|e| e.to_string())?;
+            for chunk in ScaleGenerator::new(seed).chunks(rows, 65_536) {
+                csv::write_table(&mut file, &chunk, header).map_err(|e| e.to_string())?;
                 header = false;
             }
             if header {
                 // Zero rows: still emit the header line.
                 let empty = Table::empty(ScaleGenerator::schema());
-                csv::write_table(&mut writer, &empty, true).map_err(|e| e.to_string())?;
+                csv::write_table(&mut file, &empty, true).map_err(|e| e.to_string())?;
             }
         }
         other => return Err(format!("unknown profile `{other}` (adult|scale)")),
@@ -445,7 +425,7 @@ fn write_spec(args: &Args) -> Result<String, String> {
 }
 
 fn check(args: &Args) -> Result<CmdOutput, String> {
-    // The default model keeps the original (chunkable, stage-classified)
+    // The default model keeps the original (stage-classified)
     // p-sensitivity path byte-for-byte; other models go through the
     // whole-table oracle.
     let spec_model = model_arg(args, 2)?;
@@ -454,44 +434,20 @@ fn check(args: &Args) -> Result<CmdOutput, String> {
     }
     let wall = Instant::now();
     let spec = load_spec(args)?;
-    let chunk_rows = chunk_rows_arg(args)?;
-    let threads = threads_arg(args)?;
     let k = args.get_u32("k", 2)?;
     let p = args.get_u32("p", 2)?;
     let verbose = args.get_flag("verbose");
-    // Both paths produce identical output: the chunked merge reproduces the
-    // serial group ids, so only memory and wall-clock differ.
-    enum Input {
-        Whole(Table),
-        Chunked(ChunkedTable),
-    }
-    let input = if chunk_rows > 0 {
-        Input::Chunked(load_chunked(args, &spec, chunk_rows)?)
-    } else {
-        Input::Whole(load_table(args, &spec)?)
-    };
-    let (n_rows, schema) = match &input {
-        Input::Whole(t) => (t.n_rows(), t.schema()),
-        Input::Chunked(c) => (c.n_rows(), c.schema()),
-    };
-    let keys = schema.key_indices();
-    let conf = schema.confidential_indices();
+    let table = load_table(args, &spec)?;
+    let n_rows = table.n_rows();
+    let keys = table.schema().key_indices();
+    let conf = table.schema().confidential_indices();
     if verbose {
         eprintln!("[psens] checking {n_rows} row(s) against p = {p}, k = {k}");
     }
     let check_timer = Instant::now();
-    let (report, maxk, maxp) = match &input {
-        Input::Whole(t) => (
-            check_p_sensitivity(t, &keys, &conf, p, k),
-            max_k(t, &keys),
-            max_p_of_masked(t, &keys, &conf),
-        ),
-        Input::Chunked(c) => (
-            check_p_sensitivity_chunked(c, &keys, &conf, p, k, threads),
-            max_k_chunked(c, &keys, threads),
-            max_p_of_masked_chunked(c, &keys, &conf, threads),
-        ),
-    };
+    let report = check_p_sensitivity(&table, &keys, &conf, p, k);
+    let maxk = max_k(&table, &keys);
+    let maxp = max_p_of_masked(&table, &keys, &conf);
     let check_elapsed = check_timer.elapsed();
     // `check` evaluates exactly one "node": the table as released. Classify
     // the verdict by the first Algorithm 2 stage that fails so report
@@ -573,18 +529,12 @@ fn check(args: &Args) -> Result<CmdOutput, String> {
 }
 
 /// `check --model` for the non-default models: the whole-table oracle
-/// ([`check_table_model`]) over the buffered (or re-materialized chunked)
-/// input.
+/// ([`check_table_model`]) over the input table.
 fn check_model(args: &Args, spec_model: ModelSpec) -> Result<CmdOutput, String> {
     let wall = Instant::now();
     let spec = load_spec(args)?;
-    let chunk_rows = chunk_rows_arg(args)?;
     let k = args.get_u32("k", 2)?;
-    let table = if chunk_rows > 0 {
-        load_chunked(args, &spec, chunk_rows)?.to_table()
-    } else {
-        load_table(args, &spec)?
-    };
+    let table = load_table(args, &spec)?;
     let keys = table.schema().key_indices();
     let conf = table.schema().confidential_indices();
     let model = spec_model.instantiate();
@@ -656,24 +606,10 @@ fn analyze(args: &Args) -> Result<CmdOutput, String> {
         Some(_) => Some(args.get_u32("p", 2)?),
         None => None,
     };
-    let chunk_rows = chunk_rows_arg(args)?;
-    let threads = threads_arg(args)?;
-    // With --chunk-rows the ingest streams and the Condition 1/2 statistics
-    // run chunk-parallel; the column profile and risk metrics still need
-    // one materialized table (its columnar form, not the CSV text).
-    let (table, stats) = if chunk_rows > 0 {
-        let chunked = load_chunked(args, &spec, chunk_rows)?;
-        let conf = chunked.schema().confidential_indices();
-        let stats = ConfidentialStats::compute_chunked(&chunked, &conf, threads);
-        (chunked.to_table(), stats)
-    } else {
-        let table = load_table(args, &spec)?;
-        let conf = table.schema().confidential_indices();
-        let stats = ConfidentialStats::compute(&table, &conf);
-        (table, stats)
-    };
+    let table = load_table(args, &spec)?;
     let keys = table.schema().key_indices();
     let conf = table.schema().confidential_indices();
+    let stats = ConfidentialStats::compute(&table, &conf);
     let mut out = String::new();
     out.push_str(&format!("rows: {}\n\ncolumn profile:\n", table.n_rows()));
     for summary in psens_microdata::describe(&table) {
@@ -760,15 +696,10 @@ fn anonymize(args: &Args) -> Result<CmdOutput, String> {
     // Budget first: the deadline clock starts before the input is read.
     let limits = BudgetSpec::from_args(args)?;
     let spec = load_spec(args)?;
-    let chunk_rows = chunk_rows_arg(args)?;
-    // Chunked ingest streams the CSV text; the search itself then works on
-    // the compact columnar table, with the evaluator's partition kernel
-    // running chunk-parallel when --chunk-rows is set.
-    let table = if chunk_rows > 0 {
-        load_chunked(args, &spec, chunk_rows)?.to_table()
-    } else {
-        load_table(args, &spec)?
-    };
+    let table = load_table(args, &spec)?;
+    // With --chunk-rows the evaluator's partition kernel runs
+    // morsel-parallel in chunk-rows morsels.
+    let chunk_rows = args.get_usize("chunk-rows", 0)?;
     let out_path = args.require("out")?;
     let k = args.get_u32("k", 2)?;
     let spec_model = model_arg(args, 1)?;
@@ -964,23 +895,15 @@ fn anonymize(args: &Args) -> Result<CmdOutput, String> {
 }
 
 fn query(args: &Args) -> Result<String, String> {
-    let chunk_rows = chunk_rows_arg(args)?;
-    // With a spec the CSV is read against its schema (roles included);
-    // without one, kinds are inferred and all roles default to `other`.
-    // Inference needs the whole file, so chunked ingest requires a spec.
-    let table = match (args.get("spec"), chunk_rows) {
-        (Some(_), n) if n > 0 => {
-            let spec = load_spec(args)?;
-            load_chunked(args, &spec, n)?.to_table()
-        }
-        (None, n) if n > 0 => {
-            return Err("--chunk-rows needs --spec (schema inference buffers the file)".to_owned())
-        }
-        (Some(_), _) => {
+    // With a spec the CSV streams in against its schema (roles included);
+    // without one, kinds are inferred — which needs the whole file — and
+    // all roles default to `other`.
+    let table = match args.get("spec") {
+        Some(_) => {
             let spec = load_spec(args)?;
             load_table(args, &spec)?
         }
-        (None, _) => {
+        None => {
             let path = args.require("input")?;
             let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
             csv::read_table_infer(&text).map_err(|e| e.to_string())?
@@ -1769,45 +1692,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_check_is_byte_identical_to_buffered() {
-        let data = temp_path("chdata.csv");
-        let spec = temp_path("chspec.json");
-        let data_s = data.to_str().unwrap();
-        let spec_s = spec.to_str().unwrap();
-        run_line(&["generate", "--rows", "400", "--seed", "19", "--out", data_s]).unwrap();
-        run_line(&["spec", "--out", spec_s]).unwrap();
-        let buffered = run_full(&[
-            "check", "--spec", spec_s, "--input", data_s, "--k", "2", "--p", "2",
-        ])
-        .unwrap();
-        for chunk_rows in ["1", "7", "100", "4096"] {
-            for threads in ["1", "8"] {
-                let chunked = run_full(&[
-                    "check",
-                    "--spec",
-                    spec_s,
-                    "--input",
-                    data_s,
-                    "--k",
-                    "2",
-                    "--p",
-                    "2",
-                    "--chunk-rows",
-                    chunk_rows,
-                    "--threads",
-                    threads,
-                ])
-                .unwrap();
-                assert_eq!(
-                    chunked.text, buffered.text,
-                    "chunk_rows={chunk_rows} threads={threads}"
-                );
-                assert_eq!(chunked.code, buffered.code);
-            }
-        }
-    }
-
-    #[test]
     fn chunked_anonymize_matches_buffered_release() {
         let data = temp_path("cadata.csv");
         let spec = temp_path("caspec.json");
@@ -1884,8 +1768,6 @@ mod tests {
             "7",
             "--out",
             data_s,
-            "--chunk-rows",
-            "128",
         ])
         .unwrap();
         assert!(msg.contains("500 rows"));
@@ -1904,17 +1786,7 @@ mod tests {
         // The matching spec drives the usual pipeline.
         run_line(&["spec", "--profile", "scale", "--out", spec_s]).unwrap();
         let report = run_full(&[
-            "check",
-            "--spec",
-            spec_s,
-            "--input",
-            data_s,
-            "--k",
-            "1",
-            "--p",
-            "1",
-            "--chunk-rows",
-            "100",
+            "check", "--spec", spec_s, "--input", data_s, "--k", "1", "--p", "1",
         ])
         .unwrap();
         assert!(report.text.contains("rows: 500"), "{}", report.text);
@@ -1961,51 +1833,6 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.contains("census"));
-    }
-
-    #[test]
-    fn query_chunked_ingest_requires_a_spec() {
-        let data = temp_path("qcdata.csv");
-        let data_s = data.to_str().unwrap();
-        run_line(&["generate", "--rows", "50", "--seed", "3", "--out", data_s]).unwrap();
-        let err = run_line(&[
-            "query",
-            "--input",
-            data_s,
-            "--sql",
-            "SELECT COUNT(*) FROM data",
-            "--chunk-rows",
-            "16",
-        ])
-        .unwrap_err();
-        assert!(err.contains("--spec"), "{err}");
-        // With a spec the chunked and buffered answers agree.
-        let spec = temp_path("qcspec.json");
-        let spec_s = spec.to_str().unwrap();
-        run_line(&["spec", "--out", spec_s]).unwrap();
-        let buffered = run_line(&[
-            "query",
-            "--input",
-            data_s,
-            "--spec",
-            spec_s,
-            "--sql",
-            "SELECT Sex, COUNT(*) FROM data GROUP BY Sex ORDER BY 2 DESC",
-        ])
-        .unwrap();
-        let chunked = run_line(&[
-            "query",
-            "--input",
-            data_s,
-            "--spec",
-            spec_s,
-            "--chunk-rows",
-            "16",
-            "--sql",
-            "SELECT Sex, COUNT(*) FROM data GROUP BY Sex ORDER BY 2 DESC",
-        ])
-        .unwrap();
-        assert_eq!(buffered, chunked);
     }
 
     #[test]

@@ -103,6 +103,19 @@ pub fn check_improved(
     }
 }
 
+/// Whether a release that suppressed `suppressed` of `n` tuples must fail
+/// the k-anonymity stage because it is empty. An empty release has no group
+/// to violate but carries no confidential value either, so it satisfies
+/// nothing past plain k-anonymity: it fails whenever the necessary-condition
+/// `p` exceeds 1. At `p = 1` the request reduces to k-anonymity, where
+/// Samarati's Table 4 does accept it (⟨S0,Z0⟩ at TS = 10). Without this
+/// rule an unpruned search would accept the empty release exactly when
+/// Condition 1 fails and TS ≥ n, while the pruned search calls the same
+/// instance unsatisfiable.
+pub(crate) fn empty_release_fails(suppressed: usize, n: usize, p: u32) -> bool {
+    n > 0 && suppressed == n && p > 1
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

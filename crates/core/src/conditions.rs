@@ -6,7 +6,7 @@
 //! the initial microdata and reused across every candidate masking (Theorems
 //! 1 and 2 extend the reuse to suppression).
 
-use psens_microdata::{ChunkedTable, FrequencySet, Table};
+use psens_microdata::{FrequencySet, Table};
 use serde::Serialize;
 
 /// Frequency statistics of one confidential attribute `S_j`:
@@ -91,7 +91,7 @@ impl AttributeFrequencyStats {
 impl ConfidentialStats {
     /// Assembles the combined statistics from per-attribute rows: `cf_i =
     /// max_j cf_i^j` for `i = 1..=maxP`. The single seam every computation
-    /// path (serial, chunk-parallel, incremental) funnels through.
+    /// path (serial, incremental) funnels through.
     pub fn assemble(n: usize, per_attribute: Vec<AttributeFrequencyStats>) -> ConfidentialStats {
         let max_p = per_attribute.iter().map(|a| a.s).min().unwrap_or(0);
         let cf = (0..max_p)
@@ -124,30 +124,6 @@ impl ConfidentialStats {
             })
             .collect();
         ConfidentialStats::assemble(table.n_rows(), per_attribute)
-    }
-
-    /// [`ConfidentialStats::compute`] over a [`ChunkedTable`], with the
-    /// per-attribute frequency sets computed chunk-parallel on `threads`
-    /// workers. Equal (`==`) to the serial statistics of the materialized
-    /// table: the chunked grouping is byte-identical, and `s`/`descending`/
-    /// `cumulative` depend only on the multiset of counts.
-    pub fn compute_chunked(
-        chunked: &ChunkedTable,
-        confidential: &[usize],
-        threads: usize,
-    ) -> ConfidentialStats {
-        let per_attribute = confidential
-            .iter()
-            .map(|&attr| {
-                let fs = FrequencySet::of_chunked(chunked, &[attr], threads);
-                AttributeFrequencyStats::from_descending(
-                    attr,
-                    chunked.schema().attribute(attr).name().to_owned(),
-                    fs.descending_counts(),
-                )
-            })
-            .collect();
-        ConfidentialStats::assemble(chunked.n_rows(), per_attribute)
     }
 
     /// **Condition 1**: the largest `p` any masking of this microdata can
@@ -345,22 +321,6 @@ mod tests {
         assert!(bound <= 10, "bound {bound} must forbid 11+ groups");
         // Exact value: min((1000-990)/1, (1000-900)/2) = min(10, 50) = 10.
         assert_eq!(bound, 10);
-    }
-
-    #[test]
-    fn compute_chunked_equals_serial() {
-        let t = example1();
-        let serial = ConfidentialStats::compute(&t, &[1, 2, 3]);
-        for chunk_rows in [1usize, 7, 128, 4096] {
-            let chunked = ChunkedTable::from_table(&t, chunk_rows);
-            for threads in [1usize, 2, 8] {
-                assert_eq!(
-                    ConfidentialStats::compute_chunked(&chunked, &[1, 2, 3], threads),
-                    serial,
-                    "chunk_rows={chunk_rows} threads={threads}"
-                );
-            }
-        }
     }
 
     #[test]

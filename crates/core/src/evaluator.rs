@@ -27,7 +27,7 @@
 //! (cheap, reusable) `NodeEvaluator` scratch.
 
 use crate::budget::{BudgetState, Termination};
-use crate::checker::CheckStage;
+use crate::checker::{empty_release_fails, CheckStage};
 use crate::conditions::ConfidentialStats;
 use crate::masking::{MaskingContext, Result};
 use crate::model::{CodeDistribution, GroupCheckMode, ModelDetail, ModelSpec, PrivacyModel};
@@ -493,7 +493,9 @@ impl NodeEvaluator<'_> {
         }
         // k-anonymity: after suppression the table is k-anonymous by
         // construction; otherwise any violating tuple fails the stage.
-        if !suppression && violating_tuples > 0 {
+        if (!suppression && violating_tuples > 0)
+            || empty_release_fails(suppressed, ctx.n_rows, ctx.p)
+        {
             return Ok(check(
                 false,
                 CheckStage::KAnonymity,
@@ -636,7 +638,7 @@ impl NodeEvaluator<'_> {
     fn partition(&mut self, node: &Node) -> u32 {
         let ctx = self.ctx;
         if ctx.chunk_rows > 0 && ctx.n_rows > ctx.chunk_rows && ctx.threads > 1 {
-            return self.partition_chunked(node);
+            return self.partition_morsels(node);
         }
         let n = ctx.n_rows;
         self.current.clear();
@@ -670,7 +672,7 @@ impl NodeEvaluator<'_> {
     /// rows per morsel — assigning global ids in whole-table
     /// first-appearance order, byte-identical to the serial refinement
     /// chain.
-    fn partition_chunked(&mut self, node: &Node) -> u32 {
+    fn partition_morsels(&mut self, node: &Node) -> u32 {
         let ctx = self.ctx;
         let kernel = MappedKeyKernel::new(ctx, node);
         let (current, n_groups) = group_codes(&kernel, ctx.threads, ctx.chunk_rows);

@@ -3,7 +3,7 @@
 //! > *The k-anonymity property for a masked microdata (MM) is satisfied if
 //! > every combination of key attribute values in MM occurs k or more times.*
 
-use psens_microdata::{ChunkedTable, GroupBy, Table};
+use psens_microdata::{GroupBy, Table};
 use serde::Serialize;
 
 /// Result of checking k-anonymity for one table and key-attribute set.
@@ -62,14 +62,6 @@ pub fn is_k_anonymous(table: &Table, keys: &[usize], k: u32) -> bool {
 /// (`0` for an empty table, by convention).
 pub fn max_k(table: &Table, keys: &[usize]) -> u32 {
     GroupBy::compute(table, keys).min_group_size().unwrap_or(0)
-}
-
-/// [`max_k`] over a [`ChunkedTable`], chunk-parallel on `threads` workers.
-/// Equal to the serial value on `chunked.to_table()`.
-pub fn max_k_chunked(chunked: &ChunkedTable, keys: &[usize], threads: usize) -> u32 {
-    GroupBy::compute_chunked(chunked, keys, threads)
-        .min_group_size()
-        .unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -91,7 +91,7 @@ pub use disclosure::{attribute_disclosure_count, attribute_disclosures, Attribut
 pub use evaluator::{CacheCheck, EvalContext, NodeCheck, NodeEvaluator, VerdictSource};
 pub use extended::{check_extended, extended_max_p, ConfidentialSpec, ExtendedReport};
 pub use incremental::{invalidation_for, DeltaEffect, LiveTable};
-pub use kanonymity::{check_k_anonymity, is_k_anonymous, max_k, max_k_chunked, KAnonymityReport};
+pub use kanonymity::{check_k_anonymity, is_k_anonymous, max_k, KAnonymityReport};
 pub use masking::{MaskOutcome, MaskingContext};
 pub use model::{
     check_table_model, CodeDistribution, DistinctLDiversity, EntropyLDiversity, GroupCheckMode,
@@ -102,9 +102,8 @@ pub use observe::{
     HeightTelemetry, NoopObserver, RecordingObserver, SearchObserver, StageTelemetry, Telemetry,
 };
 pub use psensitive::{
-    check_p_sensitivity, check_p_sensitivity_chunked, group_profiles, is_p_sensitive_k_anonymous,
-    max_p_of_masked, max_p_of_masked_chunked, GroupProfile, PSensitivityReport,
-    SensitivityViolation,
+    check_p_sensitivity, group_profiles, is_p_sensitive_k_anonymous, max_p_of_masked, GroupProfile,
+    PSensitivityReport, SensitivityViolation,
 };
 pub use suppress::{
     locally_suppress_to_k, suppress_to_k, suppress_within_threshold, LocalSuppressionResult,

@@ -2,7 +2,7 @@
 //! threshold, and check the target property — one candidate evaluation inside
 //! any lattice-search algorithm.
 
-use crate::checker::{check_improved, CheckStage, ImprovedCheckOutcome};
+use crate::checker::{check_improved, empty_release_fails, CheckStage, ImprovedCheckOutcome};
 use crate::conditions::ConfidentialStats;
 use crate::kanonymity::check_k_anonymity;
 use crate::observe::{elapsed_since, start_timer, SearchObserver};
@@ -82,8 +82,12 @@ impl MaskingContext<'_> {
                 (generalized, 0)
             };
         let conf = self.masked_confidential(&masked);
-        let outcome: ImprovedCheckOutcome =
+        let mut outcome: ImprovedCheckOutcome =
             check_improved(&masked, &keys, &conf, self.p, self.k, stats);
+        if outcome.satisfied && empty_release_fails(suppressed, self.initial.n_rows(), self.p) {
+            outcome.satisfied = false;
+            outcome.stage = CheckStage::KAnonymity;
+        }
         Ok(MaskOutcome {
             node: node.clone(),
             masked,
@@ -240,6 +244,35 @@ mod tests {
         assert_eq!(outcome.suppressed, 0);
         assert!(!outcome.satisfied);
         assert_eq!(outcome.stage, CheckStage::KAnonymity);
+    }
+
+    #[test]
+    fn fully_suppressed_release_passes_only_plain_k_anonymity() {
+        let t = table();
+        let qi = qi();
+        // <S0,Z0>: all ten tuples sit in groups smaller than 3, and TS = 10
+        // lets suppression remove every one of them.
+        for (p, satisfied) in [(1u32, true), (2, false)] {
+            let ctx = MaskingContext {
+                initial: &t,
+                qi: &qi,
+                k: 3,
+                p,
+                ts: 10,
+            };
+            let outcome = ctx
+                .evaluate(&Node(vec![0, 0]), &ctx.initial_stats())
+                .unwrap();
+            assert_eq!(outcome.suppressed, 10);
+            assert_eq!(outcome.masked.n_rows(), 0);
+            assert_eq!(outcome.satisfied, satisfied, "p = {p}");
+            let stage = if satisfied {
+                CheckStage::Passed
+            } else {
+                CheckStage::KAnonymity
+            };
+            assert_eq!(outcome.stage, stage, "p = {p}");
+        }
     }
 
     #[test]

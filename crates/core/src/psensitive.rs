@@ -8,7 +8,7 @@
 //! > least p times within the same group.*
 
 use crate::kanonymity::report_from_groups;
-use psens_microdata::{ChunkedTable, GroupBy, Schema, Table, Value};
+use psens_microdata::{GroupBy, Table, Value};
 use serde::Serialize;
 
 /// One p-sensitivity violation: a QI-group in which some confidential
@@ -65,51 +65,17 @@ pub fn check_p_sensitivity(
     k: u32,
 ) -> PSensitivityReport {
     let groups = GroupBy::compute(table, keys);
-    sensitivity_report(&groups, table.schema(), confidential, p, k, |attr| {
-        groups.distinct_per_group(table.column(attr))
-    })
-}
-
-/// [`check_p_sensitivity`] over a [`ChunkedTable`], chunk-parallel on
-/// `threads` workers and without materializing the table: the grouping comes
-/// from [`GroupBy::compute_chunked`] and each confidential attribute is
-/// densified chunk-parallel via [`ChunkedTable::dense_codes`]. The report is
-/// equal (`==`) to the serial one on `chunked.to_table()`.
-pub fn check_p_sensitivity_chunked(
-    chunked: &ChunkedTable,
-    keys: &[usize],
-    confidential: &[usize],
-    p: u32,
-    k: u32,
-    threads: usize,
-) -> PSensitivityReport {
-    let groups = GroupBy::compute_chunked(chunked, keys, threads);
-    sensitivity_report(&groups, chunked.schema(), confidential, p, k, |attr| {
-        let (codes, n_codes) = chunked.dense_codes(attr, threads);
-        groups.distinct_codes_per_group(&codes, n_codes)
-    })
-}
-
-/// The report both checkers assemble from a grouping and `distinct_of`,
-/// which gives one confidential attribute's distinct count per group.
-fn sensitivity_report(
-    groups: &GroupBy,
-    schema: &Schema,
-    confidential: &[usize],
-    p: u32,
-    k: u32,
-    distinct_of: impl Fn(usize) -> Vec<u32>,
-) -> PSensitivityReport {
-    let k_report = report_from_groups(groups, k);
+    let k_report = report_from_groups(&groups, k);
     let mut violations = Vec::new();
     for &attr in confidential {
-        for (g, &d) in distinct_of(attr).iter().enumerate() {
+        let distinct = groups.distinct_per_group(table.column(attr));
+        for (g, &d) in distinct.iter().enumerate() {
             if d < p {
                 violations.push(SensitivityViolation {
                     group: g as u32,
                     group_size: groups.sizes()[g],
                     attribute: attr,
-                    attribute_name: schema.attribute(attr).name().to_owned(),
+                    attribute_name: table.schema().attribute(attr).name().to_owned(),
                     distinct: d,
                 });
             }
@@ -156,39 +122,18 @@ pub fn is_p_sensitive_k_anonymous(
 /// analyzing each group.
 pub fn max_p_of_masked(table: &Table, keys: &[usize], confidential: &[usize]) -> u32 {
     let groups = GroupBy::compute(table, keys);
-    min_distinct(&groups, confidential, |attr| {
-        groups.distinct_per_group(table.column(attr))
-    })
-}
-
-/// [`max_p_of_masked`] over a [`ChunkedTable`], chunk-parallel on `threads`
-/// workers. Equal to the serial value on `chunked.to_table()`.
-pub fn max_p_of_masked_chunked(
-    chunked: &ChunkedTable,
-    keys: &[usize],
-    confidential: &[usize],
-    threads: usize,
-) -> u32 {
-    let groups = GroupBy::compute_chunked(chunked, keys, threads);
-    min_distinct(&groups, confidential, |attr| {
-        let (codes, n_codes) = chunked.dense_codes(attr, threads);
-        groups.distinct_codes_per_group(&codes, n_codes)
-    })
-}
-
-/// The minimum of `distinct_of` over every group and confidential attribute;
-/// 0 when there are no groups.
-fn min_distinct(
-    groups: &GroupBy,
-    confidential: &[usize],
-    distinct_of: impl Fn(usize) -> Vec<u32>,
-) -> u32 {
     if groups.n_groups() == 0 {
         return 0;
     }
     confidential
         .iter()
-        .map(|&attr| distinct_of(attr).into_iter().min().unwrap_or(0))
+        .map(|&attr| {
+            groups
+                .distinct_per_group(table.column(attr))
+                .into_iter()
+                .min()
+                .unwrap_or(0)
+        })
         .min()
         .unwrap_or(0)
 }
@@ -351,27 +296,6 @@ mod tests {
         let g2 = &profiles[1];
         assert_eq!(g2.size, 4);
         assert_eq!(g2.distinct, vec![2, 2]);
-    }
-
-    #[test]
-    fn chunked_check_equals_serial_report() {
-        for t in [table3(), table3_fixed()] {
-            let keys = t.schema().key_indices();
-            let conf = t.schema().confidential_indices();
-            for (p, k) in [(1u32, 3u32), (2, 3), (1, 4), (3, 1)] {
-                let serial = check_p_sensitivity(&t, &keys, &conf, p, k);
-                for chunk_rows in [1usize, 2, 4096] {
-                    let chunked = ChunkedTable::from_table(&t, chunk_rows);
-                    for threads in [1usize, 2, 8] {
-                        assert_eq!(
-                            check_p_sensitivity_chunked(&chunked, &keys, &conf, p, k, threads),
-                            serial,
-                            "p={p} k={k} chunk_rows={chunk_rows} threads={threads}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

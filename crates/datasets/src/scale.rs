@@ -151,7 +151,6 @@ fn sample_row(rng: &mut StdRng) -> Vec<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psens_microdata::ChunkedTable;
 
     #[test]
     fn generation_is_deterministic() {
@@ -166,12 +165,13 @@ mod tests {
         let g = ScaleGenerator::new(13);
         let whole = g.generate(257);
         for chunk_rows in [1usize, 7, 64, 256, 257, 1000] {
-            let mut chunked = ChunkedTable::new(ScaleGenerator::schema(), chunk_rows);
+            let mut builder = TableBuilder::new(ScaleGenerator::schema());
             for chunk in g.chunks(257, chunk_rows) {
-                chunked.push_chunk(chunk);
+                for row in 0..chunk.n_rows() {
+                    builder.push_row(chunk.row(row).unwrap()).unwrap();
+                }
             }
-            assert_eq!(chunked.n_rows(), 257);
-            assert_eq!(chunked.to_table(), whole, "chunk_rows={chunk_rows}");
+            assert_eq!(builder.finish(), whole, "chunk_rows={chunk_rows}");
         }
     }
 

@@ -1,11 +1,10 @@
 //! Utility metrics on the paper's worked examples, and their invariance
-//! under the chunked data layer: a table reassembled from chunks (any chunk
-//! size, shared or independently interned dictionaries) must score exactly
-//! like the buffered original.
+//! under dictionary re-interning: the same rows over dictionaries built in
+//! a different order must score exactly like the original.
 
 use psens_datasets::paper;
 use psens_metrics::{avg_class_size, discernibility, suppression_ratio};
-use psens_microdata::{ChunkedTable, GroupBy, Table};
+use psens_microdata::{GroupBy, Table, TableBuilder};
 
 /// Table 1 splits into three groups of two on its key attributes, so each
 /// tuple is charged 2: DM = 3 · 2² = 12.
@@ -51,31 +50,23 @@ fn suppression_ratio_of_the_table4_walkthrough() {
     assert_eq!(suppression_ratio(3, 0), 0.0, "empty initial table");
 }
 
-/// Rebuilds a table chunk by chunk with freshly interned dictionaries, as
-/// streaming ingest would.
-fn reinterned(t: &Table, chunk_rows: usize) -> ChunkedTable {
-    let mut chunked = ChunkedTable::new(t.schema().clone(), chunk_rows);
-    let mut start = 0usize;
-    while start < t.n_rows() {
-        let end = (start + chunk_rows).min(t.n_rows());
-        let rows: Vec<Vec<_>> = (start..end)
-            .map(|r| (0..t.schema().len()).map(|c| t.value(r, c)).collect())
-            .collect();
-        let mut builder = psens_microdata::TableBuilder::new(t.schema().clone());
-        for row in rows {
-            builder.push_row(row).expect("row matches schema");
-        }
-        chunked.push_chunk(builder.finish());
-        start = end;
+/// The same rows as `t` over freshly interned dictionaries whose entries
+/// run in reverse first-appearance order: the rows are interned last to
+/// first, then gathered back into their original order.
+fn reinterned(t: &Table) -> Table {
+    let mut builder = TableBuilder::new(t.schema().clone());
+    for r in (0..t.n_rows()).rev() {
+        builder.push_row(t.row(r).unwrap()).unwrap();
     }
-    chunked
+    let reversed: Vec<usize> = (0..t.n_rows()).rev().collect();
+    builder.finish().take(&reversed)
 }
 
-/// The loss metrics see identical numbers whether a table arrives buffered
-/// or through the chunked layer, and the chunked group-by feeds the same
-/// group sizes the discernibility sum is built from.
+/// The loss metrics see identical numbers whichever order a table's
+/// dictionaries were built in, and the group-by feeds the same group sizes
+/// the discernibility sum is built from.
 #[test]
-fn metrics_are_invariant_under_chunked_reconstruction() {
+fn metrics_are_invariant_under_reinterned_dictionaries() {
     for t in [
         paper::table1_patients(),
         paper::table3_psensitive_example(),
@@ -84,24 +75,20 @@ fn metrics_are_invariant_under_chunked_reconstruction() {
         let keys = t.schema().key_indices();
         let dm = discernibility(&t, &keys, 1, t.n_rows());
         let cavg = avg_class_size(&t, &keys, 2);
-        for chunk_rows in [1usize, 3, 100] {
-            for chunked in [
-                ChunkedTable::from_table(&t, chunk_rows),
-                reinterned(&t, chunk_rows),
-            ] {
-                let rebuilt = chunked.to_table();
-                assert_eq!(discernibility(&rebuilt, &keys, 1, rebuilt.n_rows()), dm);
-                assert!((avg_class_size(&rebuilt, &keys, 2) - cavg).abs() < 1e-12);
-                for threads in [1usize, 4] {
-                    let gb = GroupBy::compute_chunked(&chunked, &keys, threads);
-                    let grouped: u64 = gb
-                        .sizes()
-                        .iter()
-                        .map(|&s| u64::from(s) * u64::from(s))
-                        .sum();
-                    assert_eq!(grouped + t.n_rows() as u64, dm);
-                }
-            }
+        let rebuilt = reinterned(&t);
+        assert_eq!(t.n_rows(), rebuilt.n_rows());
+        for r in 0..t.n_rows() {
+            assert_eq!(t.row(r).unwrap(), rebuilt.row(r).unwrap());
         }
+        assert_eq!(discernibility(&rebuilt, &keys, 1, rebuilt.n_rows()), dm);
+        assert!((avg_class_size(&rebuilt, &keys, 2) - cavg).abs() < 1e-12);
+        let gb = GroupBy::compute(&rebuilt, &keys);
+        assert_eq!(gb.assignments(), GroupBy::compute(&t, &keys).assignments());
+        let grouped: u64 = gb
+            .sizes()
+            .iter()
+            .map(|&s| u64::from(s) * u64::from(s))
+            .sum();
+        assert_eq!(grouped + t.n_rows() as u64, dm);
     }
 }

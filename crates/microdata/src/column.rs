@@ -25,17 +25,6 @@ impl IntColumn {
         IntColumn { values, validity }
     }
 
-    /// Builds a column from raw parts: values (missing rows hold the
-    /// canonical `0` placeholder) and a validity bitmap of the same length.
-    pub(crate) fn from_parts(values: Vec<i64>, validity: Bitmap) -> Self {
-        assert_eq!(
-            values.len(),
-            validity.len(),
-            "values and validity must have equal length"
-        );
-        IntColumn { values, validity }
-    }
-
     /// Appends a present value.
     pub fn push(&mut self, value: i64) {
         self.values.push(value);
@@ -121,30 +110,6 @@ impl CatColumn {
             );
         }
         let validity = Bitmap::filled(codes.len(), true);
-        CatColumn {
-            dict,
-            codes,
-            validity,
-        }
-    }
-
-    /// Builds a column from raw parts. Unlike [`CatColumn::from_codes`],
-    /// missing rows are allowed: they hold the canonical `0` placeholder and
-    /// a cleared validity bit. Only the codes of *valid* rows are checked
-    /// against the dictionary.
-    pub(crate) fn from_parts(dict: Dictionary, codes: Vec<u32>, validity: Bitmap) -> Self {
-        assert_eq!(
-            codes.len(),
-            validity.len(),
-            "codes and validity must have equal length"
-        );
-        for (row, &code) in codes.iter().enumerate() {
-            assert!(
-                !validity.get(row) || (code as usize) < dict.len(),
-                "code {code} out of range for dictionary of {}",
-                dict.len()
-            );
-        }
         CatColumn {
             dict,
             codes,

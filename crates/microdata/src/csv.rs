@@ -5,12 +5,11 @@
 //! Adult dataset's `?` marker parse as [`Value::Missing`].
 
 use crate::builder::TableBuilder;
-use crate::chunked::ChunkedTable;
 use crate::error::{Error, Result};
 use crate::schema::{Kind, Schema};
 use crate::table::Table;
 use crate::value::Value;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, BufWriter, Write};
 
 /// Splits raw CSV text into records of fields.
 ///
@@ -182,36 +181,20 @@ fn parse_record_values(record: &[String], schema: &Schema, line: usize) -> Resul
     Ok(row)
 }
 
-/// Reads a table from any buffered reader; see [`read_table_str`].
+/// Reads a table from any buffered reader, streaming: semantically identical
+/// to [`read_table_str`] on the reader's whole text — same records, same
+/// values, same dictionaries, and an error exactly when the buffered reader
+/// errors (the *variant* may differ when a file holds several errors: the
+/// stream reports the first one in document order, while the buffered path
+/// surfaces all CSV syntax errors before any value error).
+///
+/// It never holds the input text: the working set is one 64 KiB read
+/// buffer, the record under construction, and the columnar table being
+/// built. That keeps ingest memory at the size of the table itself however
+/// large the file — the property the CI `ulimit` smoke pins down.
 pub fn read_table<R: BufRead>(mut reader: R, schema: Schema, has_header: bool) -> Result<Table> {
-    let mut input = String::new();
-    reader.read_to_string(&mut input)?;
-    read_table_str(&input, schema, has_header)
-}
-
-/// Streaming CSV ingest: reads a [`ChunkedTable`] in bounded memory.
-///
-/// Semantically identical to `read_table` followed by
-/// [`ChunkedTable::from_table`] — same records, same values, same per-chunk
-/// dictionaries as a chunk-at-a-time build, and an error exactly when the
-/// buffered reader errors (the *variant* may differ when a file holds several
-/// errors: the stream reports the first one in document order, while the
-/// buffered path surfaces all CSV syntax errors before any value error).
-///
-/// Unlike `read_table` it never buffers the whole input: the working set is
-/// one 64 KiB read buffer, the record under construction, and the current
-/// chunk of at most `chunk_rows` rows (clamped to at least 1). That bounds
-/// ingest memory by the chunk size regardless of file size — the property the
-/// CI `ulimit` smoke pins down.
-pub fn read_chunked<R: BufRead>(
-    mut reader: R,
-    schema: Schema,
-    has_header: bool,
-    chunk_rows: usize,
-) -> Result<ChunkedTable> {
-    let mut out = ChunkedTable::new(schema.clone(), chunk_rows);
     let mut splitter = StreamSplitter::new();
-    let mut sink = RecordSink::new(schema, has_header, out.chunk_rows());
+    let mut sink = RecordSink::new(schema, has_header);
     let mut buf = [0u8; 64 * 1024];
     // Up to 3 trailing bytes of a UTF-8 sequence split across reads.
     let mut carry: Vec<u8> = Vec::new();
@@ -221,21 +204,20 @@ pub fn read_chunked<R: BufRead>(
             break;
         }
         if carry.is_empty() {
-            feed_bytes(&buf[..n], &mut carry, &mut splitter, &mut sink, &mut out)?;
+            feed_bytes(&buf[..n], &mut carry, &mut splitter, &mut sink)?;
         } else {
             let mut joined = std::mem::take(&mut carry);
             joined.extend_from_slice(&buf[..n]);
-            feed_bytes(&joined, &mut carry, &mut splitter, &mut sink, &mut out)?;
+            feed_bytes(&joined, &mut carry, &mut splitter, &mut sink)?;
         }
     }
     if !carry.is_empty() {
         return Err(invalid_utf8());
     }
     if let Some(record) = splitter.finish()? {
-        sink.consume(record, &mut out)?;
+        sink.consume(record)?;
     }
-    sink.finish(&mut out)?;
-    Ok(out)
+    sink.finish()
 }
 
 /// The error `BufRead::read_to_string` reports on malformed UTF-8, so the
@@ -255,7 +237,6 @@ fn feed_bytes(
     carry: &mut Vec<u8>,
     splitter: &mut StreamSplitter,
     sink: &mut RecordSink,
-    out: &mut ChunkedTable,
 ) -> Result<()> {
     let text = match std::str::from_utf8(bytes) {
         Ok(text) => text,
@@ -270,7 +251,7 @@ fn feed_bytes(
     };
     for c in text.chars() {
         if let Some(record) = splitter.feed(c)? {
-            sink.consume(record, out)?;
+            sink.consume(record)?;
         }
     }
     Ok(())
@@ -412,53 +393,43 @@ impl StreamSplitter {
     }
 }
 
-/// Turns a stream of records into chunks: validates the header, parses rows
-/// into a [`TableBuilder`], and flushes a chunk every `chunk_rows` rows.
+/// Turns a stream of records into a table: validates the header and parses
+/// rows into a [`TableBuilder`].
 struct RecordSink {
     schema: Schema,
     has_header: bool,
-    chunk_rows: usize,
     builder: TableBuilder,
     record_idx: usize,
 }
 
 impl RecordSink {
-    fn new(schema: Schema, has_header: bool, chunk_rows: usize) -> RecordSink {
+    fn new(schema: Schema, has_header: bool) -> RecordSink {
         RecordSink {
             builder: TableBuilder::new(schema.clone()),
             schema,
             has_header,
-            chunk_rows,
             record_idx: 0,
         }
     }
 
-    fn consume(&mut self, record: Vec<String>, out: &mut ChunkedTable) -> Result<()> {
+    fn consume(&mut self, record: Vec<String>) -> Result<()> {
         let record_idx = self.record_idx;
         self.record_idx += 1;
         if record_idx == 0 && self.has_header {
             return validate_header(&record, &self.schema);
         }
         self.builder
-            .push_row(parse_record_values(&record, &self.schema, record_idx + 1)?)?;
-        if self.builder.n_rows() == self.chunk_rows {
-            let full = std::mem::replace(&mut self.builder, TableBuilder::new(self.schema.clone()));
-            out.push_chunk(full.finish());
-        }
-        Ok(())
+            .push_row(parse_record_values(&record, &self.schema, record_idx + 1)?)
     }
 
-    fn finish(self, out: &mut ChunkedTable) -> Result<()> {
+    fn finish(self) -> Result<Table> {
         if self.has_header && self.record_idx == 0 {
             return Err(Error::Csv {
                 line: 1,
                 message: "missing header".into(),
             });
         }
-        if self.builder.n_rows() > 0 {
-            out.push_chunk(self.builder.finish());
-        }
-        Ok(())
+        Ok(self.builder.finish())
     }
 }
 
@@ -536,7 +507,12 @@ fn write_field<W: Write>(out: &mut W, field: &str) -> std::io::Result<()> {
 }
 
 /// Writes a table as CSV; missing cells become empty fields.
+///
+/// Output goes through an internal [`BufWriter`], so an unbuffered `out`
+/// (a bare `File`) sees a few large writes rather than one per field.
 pub fn write_table<W: Write>(out: &mut W, table: &Table, with_header: bool) -> Result<()> {
+    let mut out = BufWriter::new(out);
+    let out = &mut out;
     if with_header {
         for (i, attr) in table.schema().attributes().iter().enumerate() {
             if i > 0 {
@@ -565,6 +541,7 @@ pub fn write_table<W: Write>(out: &mut W, table: &Table, with_header: bool) -> R
         }
         out.write_all(b"\n")?;
     }
+    out.flush()?;
     Ok(())
 }
 
@@ -727,30 +704,23 @@ mod tests {
     }
 
     #[test]
-    fn read_chunked_matches_buffered_reader() {
+    fn read_table_matches_buffered_reader() {
         let input = "Age,City,Illness\n50,\"Newport, KY\",\"multi\nline\"\n?,Dayton,\n30,\"say \"\"hi\"\"\",Flu\n";
         let buffered = read_table_str(input, schema(), true).unwrap();
-        for chunk_rows in [1usize, 2, 3, 100] {
-            let chunked = read_chunked(input.as_bytes(), schema(), true, chunk_rows).unwrap();
-            assert_eq!(chunked.to_table(), buffered, "chunk_rows={chunk_rows}");
-            assert_eq!(
-                chunked.n_chunks(),
-                buffered.n_rows().div_ceil(chunk_rows),
-                "chunk_rows={chunk_rows}"
-            );
-        }
+        assert_eq!(
+            read_table(input.as_bytes(), schema(), true).unwrap(),
+            buffered
+        );
     }
 
     #[test]
-    fn read_chunked_without_header() {
-        let chunked =
-            read_chunked(&b"50,Newport,HIV\n20,Dayton,Flu\n"[..], schema(), false, 1).unwrap();
-        assert_eq!(chunked.n_rows(), 2);
-        assert_eq!(chunked.n_chunks(), 2);
+    fn read_table_without_header() {
+        let t = read_table(&b"50,Newport,HIV\n20,Dayton,Flu\n"[..], schema(), false).unwrap();
+        assert_eq!(t.n_rows(), 2);
     }
 
     #[test]
-    fn read_chunked_errors_match_buffered_reader() {
+    fn read_table_errors_match_buffered_reader() {
         let bad_inputs = [
             "Age,City,Illness\n\"unterminated",
             "Age,City,Illness\n\"x\"y,a,b\n",
@@ -764,38 +734,38 @@ mod tests {
         ];
         for input in bad_inputs {
             let buffered = read_table_str(input, schema(), true);
-            let streamed = read_chunked(input.as_bytes(), schema(), true, 4);
+            let streamed = read_table(input.as_bytes(), schema(), true);
             assert!(buffered.is_err(), "buffered accepted {input:?}");
             assert!(streamed.is_err(), "streamed accepted {input:?}");
         }
     }
 
     #[test]
-    fn read_chunked_reports_bad_int_record_number() {
+    fn read_table_reports_bad_int_record_number() {
         let input = "Age,City,Illness\n50,Newport,X\nold,Dayton,Y\n";
-        match read_chunked(input.as_bytes(), schema(), true, 4) {
+        match read_table(input.as_bytes(), schema(), true) {
             Err(Error::Parse { line, .. }) => assert_eq!(line, 3),
             other => panic!("expected parse error, got {other:?}"),
         }
     }
 
     #[test]
-    fn read_chunked_rejects_invalid_utf8() {
+    fn read_table_rejects_invalid_utf8() {
         let bytes: &[u8] = b"Age,City,Illness\n50,New\xffport,X\n";
         assert!(matches!(
-            read_chunked(bytes, schema(), true, 4),
+            read_table(bytes, schema(), true),
             Err(Error::Io(_))
         ));
         // A sequence truncated by end of input is also invalid.
         let truncated: &[u8] = b"Age,City,Illness\n50,Newport,X\n\xe2\x82";
         assert!(matches!(
-            read_chunked(truncated, schema(), true, 4),
+            read_table(truncated, schema(), true),
             Err(Error::Io(_))
         ));
     }
 
     #[test]
-    fn read_chunked_handles_multibyte_split_across_reads() {
+    fn read_table_handles_multibyte_split_across_reads() {
         // A 1-byte BufRead forces every multi-byte sequence to straddle a
         // read boundary, exercising the UTF-8 carry.
         struct OneByte<'a>(&'a [u8]);
@@ -816,10 +786,52 @@ mod tests {
             }
         }
         let input = "Age,City,Illness\n50,Zürich,Grippe\n";
-        let chunked = read_chunked(OneByte(input.as_bytes()), schema(), true, 4).unwrap();
         assert_eq!(
-            chunked.to_table(),
+            read_table(OneByte(input.as_bytes()), schema(), true).unwrap(),
             read_table_str(input, schema(), true).unwrap()
+        );
+    }
+
+    #[test]
+    fn write_table_buffers_its_writes() {
+        /// Counts `write` calls, as a bare `File` would count syscalls.
+        struct Counting {
+            writes: usize,
+            bytes: usize,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes += buf.len();
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut builder = TableBuilder::new(schema());
+        for i in 0..1000 {
+            builder
+                .push_row(vec![
+                    Value::Int(i),
+                    Value::Text(format!("City {}", i % 7)),
+                    Value::Missing,
+                ])
+                .unwrap();
+        }
+        let table = builder.finish();
+        let mut out = Counting {
+            writes: 0,
+            bytes: 0,
+        };
+        write_table(&mut out, &table, true).unwrap();
+        assert_eq!(out.bytes, to_csv_string(&table, true).len());
+        // 1 000 rows × 3 fields would be ~6 000 writes unbuffered.
+        assert!(
+            out.writes <= out.bytes / 8192 + 2,
+            "{} writes for {} bytes",
+            out.writes,
+            out.bytes
         );
     }
 }

@@ -42,30 +42,6 @@ impl FrequencySet {
         Ok(FrequencySet::of(table, &[idx]))
     }
 
-    /// Computes the frequency set of a [`ChunkedTable`] chunk-parallel on
-    /// `threads` workers — identical to [`FrequencySet::of`] on the
-    /// materialized table (the grouping is byte-identical, see
-    /// [`GroupBy::compute_chunked`], so keys appear in the same
-    /// first-appearance order with the same counts).
-    pub fn of_chunked(
-        chunked: &crate::chunked::ChunkedTable,
-        by: &[usize],
-        threads: usize,
-    ) -> FrequencySet {
-        let gb = GroupBy::compute_chunked(chunked, by, threads);
-        let keys = gb
-            .representatives()
-            .iter()
-            .map(|&rep| by.iter().map(|&c| chunked.value(rep as usize, c)).collect())
-            .collect();
-        let counts: Vec<usize> = gb.sizes().iter().map(|&s| s as usize).collect();
-        FrequencySet {
-            keys,
-            counts,
-            total: chunked.n_rows(),
-        }
-    }
-
     /// Number of distinct value combinations (the paper's `s_j` when the
     /// subset is a single confidential attribute).
     pub fn n_combinations(&self) -> usize {
@@ -186,23 +162,5 @@ mod tests {
         assert_eq!(fs.total(), 0);
         assert!(fs.descending_counts().is_empty());
         assert!(fs.cumulative_descending().is_empty());
-    }
-
-    #[test]
-    fn of_chunked_matches_serial() {
-        let t = illness_table();
-        for by in [vec![0usize], vec![1], vec![0, 1], vec![]] {
-            let serial = FrequencySet::of(&t, &by);
-            for chunk_rows in [1usize, 2, 4, 100] {
-                let chunked = crate::chunked::ChunkedTable::from_table(&t, chunk_rows);
-                for threads in [1usize, 2, 8] {
-                    assert_eq!(
-                        FrequencySet::of_chunked(&chunked, &by, threads),
-                        serial,
-                        "by={by:?} chunk_rows={chunk_rows} threads={threads}"
-                    );
-                }
-            }
-        }
     }
 }

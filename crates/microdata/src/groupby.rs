@@ -5,12 +5,8 @@
 //! and p-sensitivity with per-group `COUNT(DISTINCT S_j)`. [`GroupBy`]
 //! implements exactly those two operators over columnar data.
 
-use crate::chunked::ChunkedTable;
 use crate::column::Column;
 use crate::hash::FxHashMap;
-use crate::morsel::{
-    group_codes_timed, resolve_threads, ChunkedKeyKernel, PhaseTimings, DEFAULT_MORSEL_ROWS,
-};
 use crate::table::Table;
 use crate::value::Value;
 
@@ -84,33 +80,8 @@ impl CodeCombiner {
         self.refine_with(current, n_groups, n_codes, |row| map[base[row] as usize])
     }
 
-    /// Begins a refinement pass mapping `(current group, code)` pairs, with
-    /// `n_groups` dense ids and codes `< n_codes`. Rows are then fed in
-    /// row-order segments through [`RefinePass::segment`] — the streaming
-    /// entry point letting chunked callers refine one global partition slice
-    /// by slice without materializing a whole-table code vector.
-    pub fn begin(&mut self, n_groups: u32, n_codes: u32) -> RefinePass<'_> {
-        let product = n_groups as u64 * n_codes as u64;
-        let dense = product <= Self::RADIX_CAP as u64;
-        if dense {
-            if self.radix.len() < product as usize {
-                self.radix.resize(product as usize, u32::MAX);
-            }
-            for &slot in &self.touched {
-                self.radix[slot as usize] = u32::MAX;
-            }
-            self.touched.clear();
-        } else {
-            self.hash.clear();
-        }
-        RefinePass {
-            combiner: self,
-            n_codes,
-            next: 0,
-            dense,
-        }
-    }
-
+    /// The refinement both public variants share: `code_of_row(r)` is row
+    /// `r`'s code, `< n_codes`.
     fn refine_with(
         &mut self,
         current: &mut [u32],
@@ -118,63 +89,43 @@ impl CodeCombiner {
         n_codes: u32,
         code_of_row: impl Fn(usize) -> u32,
     ) -> u32 {
-        let mut pass = self.begin(n_groups, n_codes);
-        pass.segment(current, code_of_row);
-        pass.n_groups()
-    }
-}
-
-/// An in-progress [`CodeCombiner`] refinement fed row segments in order —
-/// see [`CodeCombiner::begin`].
-#[derive(Debug)]
-pub struct RefinePass<'a> {
-    combiner: &'a mut CodeCombiner,
-    n_codes: u32,
-    next: u32,
-    dense: bool,
-}
-
-impl RefinePass<'_> {
-    /// Refines the next segment of rows in place: `current[i]` is row `i`'s
-    /// group id before the call and `code_of(i)` its code (`< n_codes`).
-    /// Refined ids are dense across all segments of the pass, assigned in
-    /// first-appearance order.
-    pub fn segment(&mut self, current: &mut [u32], code_of: impl Fn(usize) -> u32) {
-        if self.dense {
+        let product = n_groups as u64 * n_codes as u64;
+        let mut next = 0u32;
+        if product <= Self::RADIX_CAP as u64 {
+            if self.radix.len() < product as usize {
+                self.radix.resize(product as usize, u32::MAX);
+            }
+            for &slot in &self.touched {
+                self.radix[slot as usize] = u32::MAX;
+            }
+            self.touched.clear();
             for (row, cur) in current.iter_mut().enumerate() {
-                let key = *cur as usize * self.n_codes as usize + code_of(row) as usize;
-                let id = self.combiner.radix[key];
-                let id = if id == u32::MAX {
-                    let id = self.next;
-                    self.combiner.radix[key] = id;
-                    self.combiner.touched.push(key as u32);
-                    self.next += 1;
+                let key = *cur as usize * n_codes as usize + code_of_row(row) as usize;
+                let id = self.radix[key];
+                *cur = if id == u32::MAX {
+                    let id = next;
+                    self.radix[key] = id;
+                    self.touched.push(key as u32);
+                    next += 1;
                     id
                 } else {
                     id
                 };
-                *cur = id;
             }
         } else {
-            let next = &mut self.next;
+            self.hash.clear();
             for (row, cur) in current.iter_mut().enumerate() {
-                let id = *self
-                    .combiner
+                *cur = *self
                     .hash
-                    .entry((*cur, code_of(row)))
+                    .entry((*cur, code_of_row(row)))
                     .or_insert_with(|| {
-                        let id = *next;
-                        *next += 1;
+                        let id = next;
+                        next += 1;
                         id
                     });
-                *cur = id;
             }
         }
-    }
-
-    /// Number of refined groups assigned so far.
-    pub fn n_groups(&self) -> u32 {
-        self.next
+        next
     }
 }
 
@@ -188,76 +139,34 @@ impl GroupBy {
         let n = table.n_rows();
         // Combine one column at a time: `current[r]` is the dense id of row
         // r's key prefix. Each step refines the partition with the next
-        // column's dense codes. Exact (no hash collisions can merge groups).
+        // column's codes. Exact (no hash collisions can merge groups).
         let mut current = vec![0u32; n];
         let mut n_groups: u32 = u32::from(n > 0);
         let mut combiner = CodeCombiner::new();
         for &col_idx in by {
-            let (codes, n_codes) = table.column(col_idx).dense_codes();
-            n_groups = combiner.refine(&mut current, n_groups, &codes, n_codes);
+            n_groups = match table.column(col_idx) {
+                // Refined ids depend only on which rows share a cell, not on
+                // how the codes are numbered, so categorical columns refine
+                // on their dictionary codes directly — one extra code for
+                // missing cells — without densifying first.
+                Column::Cat(cat) => {
+                    let missing = cat.dictionary().len() as u32;
+                    let (codes, validity) = (cat.raw_codes(), cat.validity());
+                    combiner.refine_with(&mut current, n_groups, missing + 1, |row| {
+                        if validity.get(row) {
+                            codes[row]
+                        } else {
+                            missing
+                        }
+                    })
+                }
+                column @ Column::Int(_) => {
+                    let (codes, n_codes) = column.dense_codes();
+                    combiner.refine(&mut current, n_groups, &codes, n_codes)
+                }
+            };
         }
         GroupBy::from_assignment(current, n_groups, by.to_vec())
-    }
-
-    /// Groups a [`ChunkedTable`] by the attributes at `by` on `threads`
-    /// workers — byte-identical to running [`GroupBy::compute`] on
-    /// `chunked.to_table()`. `threads == 0` means one worker per available
-    /// core (see [`resolve_threads`]).
-    ///
-    /// With one (resolved) thread the work runs on the column-at-a-time
-    /// streaming path: one global partition refined chunk slice by chunk
-    /// slice (see [`CodeCombiner::begin`]), with per-chunk dictionaries
-    /// unified upfront. That path runs the same row passes as the serial
-    /// kernel — no local partitions, no merge keys, no scatter — so opting
-    /// into chunked storage costs nothing when there is no parallelism to
-    /// buy.
-    ///
-    /// Otherwise the morsel-driven, hash-partitioned executor runs (see
-    /// [`crate::morsel`]): workers pull [`DEFAULT_MORSEL_ROWS`]-sized row
-    /// ranges from a shared cursor, radix-partition rows by a multi-column
-    /// key kernel, build each partition's group table locally, and a final
-    /// canonical pass restores first-appearance group ids. Unlike the old
-    /// chunk-per-thread design, parallelism no longer depends on the chunk
-    /// layout: a single 10M-row chunk still fans out across all workers.
-    pub fn compute_chunked(chunked: &ChunkedTable, by: &[usize], threads: usize) -> GroupBy {
-        GroupBy::compute_chunked_morsels(chunked, by, threads, DEFAULT_MORSEL_ROWS)
-    }
-
-    /// [`GroupBy::compute_chunked`] with an explicit morsel size (rows per
-    /// cursor pull; `0` means [`DEFAULT_MORSEL_ROWS`]). The result is
-    /// independent of `morsel_rows` — the differential oracle pins this —
-    /// so the knob only exists for benchmarks and tests.
-    pub fn compute_chunked_morsels(
-        chunked: &ChunkedTable,
-        by: &[usize],
-        threads: usize,
-        morsel_rows: usize,
-    ) -> GroupBy {
-        GroupBy::compute_chunked_profiled(chunked, by, threads, morsel_rows).0
-    }
-
-    /// [`GroupBy::compute_chunked_morsels`], also returning the executor's
-    /// per-phase wall-clock breakdown (all-zero on the streaming path,
-    /// which has no phases).
-    pub fn compute_chunked_profiled(
-        chunked: &ChunkedTable,
-        by: &[usize],
-        threads: usize,
-        morsel_rows: usize,
-    ) -> (GroupBy, PhaseTimings) {
-        let threads = resolve_threads(threads);
-        if threads <= 1 {
-            return (
-                compute_chunked_streaming(chunked, by),
-                PhaseTimings::default(),
-            );
-        }
-        let kernel = ChunkedKeyKernel::new(chunked, by, threads);
-        let ((current, n_groups), timings) = group_codes_timed(&kernel, threads, morsel_rows);
-        (
-            GroupBy::from_assignment(current, n_groups, by.to_vec()),
-            timings,
-        )
     }
 
     /// Builds a grouping directly from pre-combined dense group ids — the
@@ -441,92 +350,6 @@ impl GroupBy {
     pub fn key_of_group(&self, table: &Table, g: usize) -> Vec<Value> {
         let row = self.representatives[g] as usize;
         self.by.iter().map(|&c| table.value(row, c)).collect()
-    }
-}
-
-/// Streaming path of [`GroupBy::compute_chunked`] for `threads <= 1`:
-/// column-at-a-time refinement of one global partition, fed chunk slice by
-/// chunk slice through a single [`RefinePass`] per column.
-fn compute_chunked_streaming(chunked: &ChunkedTable, by: &[usize]) -> GroupBy {
-    let mut current = vec![0u32; chunked.n_rows()];
-    let mut n_groups: u32 = u32::from(chunked.n_rows() > 0);
-    let mut combiner = CodeCombiner::new();
-    for &col in by {
-        n_groups = refine_chunks_by_column(chunked, col, &mut current, n_groups, &mut combiner);
-    }
-    GroupBy::from_assignment(current, n_groups, by.to_vec())
-}
-
-/// Refines the global partition `current` by one column of a chunked table.
-///
-/// Refined ids depend only on which rows share a cell value, never on how
-/// the codes are numbered, so any injective, cross-chunk-consistent code
-/// works. Categorical columns use global dictionary codes (per-chunk
-/// dictionaries unified upfront — a pass over dictionary entries, not rows)
-/// plus one reserved code for missing cells, fused into a single row pass.
-/// Integer columns run the serial densify pass, read chunk by chunk with
-/// one persistent value→code map, then one refine.
-fn refine_chunks_by_column(
-    chunked: &ChunkedTable,
-    col: usize,
-    current: &mut [u32],
-    n_groups: u32,
-    combiner: &mut CodeCombiner,
-) -> u32 {
-    match chunked.merge_column_dictionaries(col) {
-        Some(remaps) => {
-            // Every global code appears in some chunk's remap, so the global
-            // dictionary size is the largest remap entry + 1; missing cells
-            // take the next code up.
-            let missing_code = remaps
-                .iter()
-                .flatten()
-                .copied()
-                .max()
-                .map_or(0, |max| max + 1);
-            let mut pass = combiner.begin(n_groups, missing_code + 1);
-            let mut offset = 0usize;
-            for (c, chunk) in chunked.chunks().iter().enumerate() {
-                let Column::Cat(cat) = chunk.column(col) else {
-                    unreachable!("chunk columns match the schema kind")
-                };
-                let remap = &remaps[c];
-                let end = offset + chunk.n_rows();
-                pass.segment(&mut current[offset..end], |row| {
-                    cat.code_at(row)
-                        .map_or(missing_code, |raw| remap[raw as usize])
-                });
-                offset = end;
-            }
-            pass.n_groups()
-        }
-        None => {
-            let mut map: FxHashMap<i64, u32> = FxHashMap::default();
-            let mut missing_code: Option<u32> = None;
-            let mut next = 0u32;
-            let mut codes = Vec::with_capacity(chunked.n_rows());
-            for chunk in chunked.chunks() {
-                let Column::Int(ints) = chunk.column(col) else {
-                    unreachable!("chunk columns match the schema kind")
-                };
-                for row in 0..ints.len() {
-                    let code = match ints.get(row) {
-                        Some(v) => *map.entry(v).or_insert_with(|| {
-                            let code = next;
-                            next += 1;
-                            code
-                        }),
-                        None => *missing_code.get_or_insert_with(|| {
-                            let code = next;
-                            next += 1;
-                            code
-                        }),
-                    };
-                    codes.push(code);
-                }
-            }
-            combiner.refine(current, n_groups, &codes, next)
-        }
     }
 }
 
@@ -748,68 +571,6 @@ mod tests {
             gb.distinct_codes_per_group(&codes, n_codes),
             gb.distinct_per_group(col)
         );
-    }
-
-    #[test]
-    fn compute_chunked_matches_serial_for_all_shapes() {
-        let t = patient_table();
-        let by_sets: &[&[usize]] = &[&[0, 1, 2], &[2, 0], &[3], &[]];
-        for &by in by_sets {
-            let serial = GroupBy::compute(&t, by);
-            for chunk_rows in [1usize, 2, 3, 7, 100] {
-                let chunked = ChunkedTable::from_table(&t, chunk_rows);
-                for threads in [1usize, 2, 8] {
-                    let par = GroupBy::compute_chunked(&chunked, by, threads);
-                    assert_eq!(
-                        par.group_of_row, serial.group_of_row,
-                        "by={by:?} chunk_rows={chunk_rows} threads={threads}"
-                    );
-                    assert_eq!(par.sizes(), serial.sizes());
-                    assert_eq!(par.representatives(), serial.representatives());
-                    assert_eq!(par.by(), serial.by());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn compute_chunked_pins_empty_table_and_empty_by() {
-        // Group-by semantics on the degenerate shapes are well-defined and
-        // identical across the serial and chunked paths: an empty table
-        // yields zero groups, an empty `by` yields SQL's `GROUP BY ()`
-        // single all-rows group.
-        let t = patient_table();
-        let empty = t.filter(|_| false);
-        let gb = GroupBy::compute_chunked(&ChunkedTable::from_table(&empty, 4), &[0], 2);
-        assert_eq!(gb.n_groups(), 0);
-        assert_eq!(gb.n_rows(), 0);
-        assert_eq!(gb.min_group_size(), None);
-
-        let gb = GroupBy::compute_chunked(&ChunkedTable::from_table(&t, 2), &[], 2);
-        assert_eq!(gb.n_groups(), 1);
-        assert_eq!(gb.sizes(), &[6]);
-    }
-
-    #[test]
-    fn compute_chunked_unifies_independent_chunk_dictionaries() {
-        // Chunks interned independently (as streaming ingest produces them)
-        // must group identically to the serial pass over the concatenation.
-        let schema = Schema::new(vec![
-            Attribute::cat_key("City"),
-            Attribute::cat_confidential("S"),
-        ])
-        .unwrap();
-        let c1 = table_from_str_rows(schema.clone(), &[&["b", "x"], &["a", "y"]]).unwrap();
-        let c2 =
-            table_from_str_rows(schema.clone(), &[&["a", "x"], &["c", "y"], &["b", "x"]]).unwrap();
-        let mut chunked = crate::chunked::ChunkedTable::new(schema, 3);
-        chunked.push_chunk(c1);
-        chunked.push_chunk(c2);
-        let serial = GroupBy::compute(&chunked.to_table(), &[0]);
-        let par = GroupBy::compute_chunked(&chunked, &[0], 2);
-        assert_eq!(par.group_of_row, serial.group_of_row);
-        assert_eq!(par.sizes(), serial.sizes());
-        assert_eq!(par.representatives(), serial.representatives());
     }
 
     #[test]

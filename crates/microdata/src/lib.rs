@@ -50,7 +50,6 @@
 
 mod bitmap;
 mod builder;
-mod chunked;
 mod column;
 pub mod csv;
 mod delta;
@@ -69,10 +68,6 @@ mod value;
 
 pub use bitmap::Bitmap;
 pub use builder::{table_from_str_rows, TableBuilder};
-pub use chunked::{
-    assign_global_ids, chunk_parallel_map, first_appearances, scatter_global, ChunkedTable,
-    DictionaryMerger, LocalCodes,
-};
 pub use column::{CatColumn, Column, IntColumn};
 pub use delta::{DeltaBatch, IncrementalFrequency, RowMultiset};
 pub use describe::{describe, describe_column, ColumnSummary};
@@ -80,12 +75,9 @@ pub use dictionary::Dictionary;
 pub use display::render;
 pub use error::{Error, Result};
 pub use freq::FrequencySet;
-pub use groupby::{CodeCombiner, GroupBy, RefinePass};
+pub use groupby::{CodeCombiner, GroupBy};
 pub use json::{JsonError, JsonResult, JsonValue};
-pub use morsel::{
-    group_codes, group_codes_timed, resolve_threads, ChunkedKeyKernel, KeyKernel, PhaseTimings,
-    DEFAULT_MORSEL_ROWS, DENSE_CAP,
-};
+pub use morsel::{group_codes, resolve_threads, KeyKernel, DENSE_CAP};
 pub use schema::{Attribute, Kind, Role, Schema};
 pub use table::Table;
 pub use value::Value;

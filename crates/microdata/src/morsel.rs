@@ -1,11 +1,8 @@
 //! Morsel-driven, hash-partitioned parallel group-by executor.
 //!
-//! The PR 5 chunked group-by assigned one table chunk per scoped thread and
-//! merged the per-chunk group tables on the calling thread. BENCH_5 showed
-//! the merge dominating: every thread's output is re-keyed and re-scattered
-//! serially, so adding threads made 1M–10M row group-bys *slower*. This
-//! module replaces that design with the two-phase scheme used by
-//! morsel-driven engines:
+//! The executor serves the node evaluator's chunked partition
+//! (`EvalContext::with_chunked_partition`): it groups rows by the key a
+//! [`KeyKernel`] produces, in the two phases used by morsel-driven engines:
 //!
 //! 1. **Partition.** Workers pull fixed-size row-range *morsels* from a
 //!    shared atomic cursor — no static chunk-per-thread assignment, so a
@@ -27,24 +24,19 @@
 //! first appearance. Because group membership depends only on exact key
 //! equality and a minimum is order-independent, the output is byte-identical
 //! to the serial single-pass group-by for **any** thread count and morsel
-//! size — the differential oracle in `tests/chunked_equivalence.rs` pins
+//! size — the differential oracle in `tests/morsel_equivalence.rs` pins
 //! this.
 //!
-//! Fault isolation keeps the PR 4 contract: each morsel runs under
-//! `catch_unwind`; a panicking morsel's partial buffer writes are rolled
-//! back and the morsel re-runs serially after the parallel phase (a second
-//! panic propagates). Phases 2 and 3 inherit the same contract from
-//! [`chunk_parallel_map`].
+//! Fault isolation: each morsel runs under `catch_unwind`; a panicking
+//! morsel's partial buffer writes are rolled back and the morsel re-runs
+//! serially after the parallel phase (a second panic propagates). Phases 2
+//! and 3 inherit the same contract from `chunk_parallel_map`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
-use crate::bitmap::Bitmap;
-use crate::chunked::{chunk_parallel_map, ChunkedTable};
-use crate::column::Column;
-use crate::hash::{fmix64, mix64, FxHashMap, KEY_HASH_SEED};
+use crate::hash::{fmix64, FxHashMap};
 
 /// Upper bound on the product of per-column key domains for the dense radix
 /// path. Below this, every distinct key fuses injectively into one `u32` and
@@ -56,13 +48,13 @@ pub const DENSE_CAP: u64 = 1 << 20;
 /// Default number of rows per morsel. Small enough that 8 workers get
 /// hundreds of steal opportunities on a 10M-row table, large enough that the
 /// atomic cursor `fetch_add` is noise (one per 16Ki rows).
-pub const DEFAULT_MORSEL_ROWS: usize = 16_384;
+const DEFAULT_MORSEL_ROWS: usize = 16_384;
 
 /// Resolves a requested thread count: `0` means "one worker per available
 /// core" via [`std::thread::available_parallelism`] (1 if the parallelism
 /// cannot be queried); any other value is clamped to the available
 /// parallelism. Every `threads` parameter in the workspace — CLI
-/// `--threads`, `Tuning::threads`, the chunked operators — is resolved
+/// `--threads`, `Tuning::threads` — is resolved
 /// through this function so `0` and oversubscribed requests behave
 /// identically everywhere.
 ///
@@ -82,24 +74,12 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// Wall-clock time spent in each phase of one executor run, for the
-/// BENCH_6 per-phase breakdown.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct PhaseTimings {
-    /// Phase 1: morsel pull, key materialization, radix partition write.
-    pub partition: Duration,
-    /// Phase 2: per-partition local group-table build.
-    pub build: Duration,
-    /// Canonical re-ordering plus the final id scatter.
-    pub reorder: Duration,
-}
-
 /// A source of per-row grouping keys for the morsel executor.
 ///
-/// The executor is generic over *where* keys come from — chunked tables
-/// ([`ChunkedKeyKernel`]), the evaluator's mapped per-node code columns, or
-/// test harnesses that inject faults. Implementations must be deterministic:
-/// the same row must always produce the same key, and `rows_equal` must be
+/// The executor is generic over *where* keys come from — the evaluator's
+/// mapped per-node code columns, or test harnesses that inject faults.
+/// Implementations must be deterministic: the same row must always
+/// produce the same key, and `rows_equal` must be
 /// the exact key-equality relation (hash collisions across unequal rows are
 /// handled by the executor; disagreement between `fill_*` on equal rows is
 /// not).
@@ -136,25 +116,15 @@ type Bufs<K> = Vec<Vec<Entry<K>>>;
 /// by first appearance, exactly as the serial group-by numbers them.
 ///
 /// `threads` is resolved through [`resolve_threads`]; `morsel_rows == 0`
-/// selects [`DEFAULT_MORSEL_ROWS`].
+/// selects the default of 16 384 rows.
 pub fn group_codes<K: KeyKernel + ?Sized>(
     kernel: &K,
     threads: usize,
     morsel_rows: usize,
 ) -> (Vec<u32>, u32) {
-    group_codes_timed(kernel, threads, morsel_rows).0
-}
-
-/// [`group_codes`], also returning the per-phase wall-clock breakdown.
-pub fn group_codes_timed<K: KeyKernel + ?Sized>(
-    kernel: &K,
-    threads: usize,
-    morsel_rows: usize,
-) -> ((Vec<u32>, u32), PhaseTimings) {
     let n = kernel.n_rows();
-    let mut timings = PhaseTimings::default();
     if n == 0 {
-        return ((Vec::new(), 0), timings);
+        return (Vec::new(), 0);
     }
     let threads = resolve_threads(threads).max(1);
     let morsel_rows = if morsel_rows == 0 {
@@ -163,13 +133,12 @@ pub fn group_codes_timed<K: KeyKernel + ?Sized>(
         morsel_rows
     };
     let p_count = threads.next_power_of_two();
-    let result = match kernel.dense_product() {
+    match kernel.dense_product() {
         Some(product) => execute(
             n,
             threads,
             p_count,
             morsel_rows,
-            &mut timings,
             |start, out: &mut [u32]| kernel.fill_dense(start, out),
             |key| ((fmix64(u64::from(key)) >> 32) as usize) & (p_count - 1),
             |entries| build_dense(product, entries),
@@ -179,13 +148,11 @@ pub fn group_codes_timed<K: KeyKernel + ?Sized>(
             threads,
             p_count,
             morsel_rows,
-            &mut timings,
             |start, out: &mut [u64]| kernel.fill_hashed(start, out),
             |hash| ((hash >> 32) as usize) & (p_count - 1),
             |entries| build_hashed(kernel, entries),
         ),
-    };
-    (result, timings)
+    }
 }
 
 /// One partition's local group table: per-entry group ids (aligned with the
@@ -197,13 +164,11 @@ struct LocalGroups {
 }
 
 /// The three-phase executor, generic over key type and build strategy.
-#[allow(clippy::too_many_arguments)]
 fn execute<K, F, P, B>(
     n: usize,
     threads: usize,
     p_count: usize,
     morsel_rows: usize,
-    timings: &mut PhaseTimings,
     fill: F,
     part_of: P,
     build: B,
@@ -215,7 +180,6 @@ where
     B: Fn(&[Vec<Entry<K>>]) -> LocalGroups + Sync,
 {
     // Phase 1: morsel-driven radix partition.
-    let clock = Instant::now();
     let worker_sets = partition_phase(n, threads, p_count, morsel_rows, &fill, &part_of);
     // Transpose worker-major buffers to partition-major without copying.
     let mut parts: Vec<Vec<Vec<Entry<K>>>> = (0..p_count).map(|_| Vec::new()).collect();
@@ -226,20 +190,16 @@ where
             }
         }
     }
-    timings.partition = clock.elapsed();
 
     // Phase 2: per-partition local group tables, partitions spread across
-    // workers with the same fault-isolation contract as the chunk layer.
-    let clock = Instant::now();
+    // workers with the same fault-isolation contract as morsels.
     let locals = chunk_parallel_map(p_count, threads, |p| build(&parts[p]));
-    timings.build = clock.elapsed();
 
     // Canonical re-ordering: concatenate per-partition groups, rank them by
     // first appearance, then scatter the canonical ids. Ranking is serial
     // (O(G log G) in the number of groups, not rows); the scatter is
     // parallel over partitions — each row belongs to exactly one partition,
     // so the writes are disjoint.
-    let clock = Instant::now();
     let mut offsets = Vec::with_capacity(p_count + 1);
     offsets.push(0usize);
     for local in &locals {
@@ -272,7 +232,6 @@ where
         }
     });
     let assignment: Vec<u32> = out.into_iter().map(AtomicU32::into_inner).collect();
-    timings.reorder = clock.elapsed();
     (assignment, n_groups as u32)
 }
 
@@ -467,310 +426,54 @@ fn build_hashed<K: KeyKernel + ?Sized>(kernel: &K, entries: &[Vec<Entry<u64>>]) 
     LocalGroups { gids, first_rows }
 }
 
-/// Hash component for a missing integer cell: any fixed word distinct from
-/// the "present" encoding in expectation; collisions are resolved exactly.
-const INT_MISSING_SENTINEL: u64 = 0xc0ff_ee00_d15a_b1ed;
-
-/// Per-chunk view of one categorical key column with its chunk-local →
-/// global dictionary remap.
-struct CatChunk<'a> {
-    codes: &'a [u32],
-    validity: &'a Bitmap,
-    remap: Vec<u32>,
-}
-
-/// Per-chunk view of one integer key column.
-struct IntChunk<'a> {
-    values: &'a [i64],
-    validity: &'a Bitmap,
-}
-
-/// One key column of a [`ChunkedKeyKernel`]. `domain` is the exclusive
-/// bound on the column's dense component (`u64::MAX` marks an integer
-/// column whose span was not measured because the product was already
-/// hopeless).
-enum KernelCol<'a> {
-    Cat {
-        chunks: Vec<CatChunk<'a>>,
-        domain: u64,
-    },
-    Int {
-        chunks: Vec<IntChunk<'a>>,
-        min: i64,
-        domain: u64,
-    },
-}
-
-/// [`KeyKernel`] over the key columns of a [`ChunkedTable`]: categorical
-/// codes are remapped through the merged global dictionaries, integer
-/// columns are keyed by value, and missing compares equal to missing.
-pub struct ChunkedKeyKernel<'a> {
-    n_rows: usize,
-    /// Global start row of each chunk (ascending; empty chunks repeat).
-    starts: Vec<usize>,
-    lens: Vec<usize>,
-    cols: Vec<KernelCol<'a>>,
-    product: Option<u32>,
-}
-
-impl<'a> ChunkedKeyKernel<'a> {
-    /// Builds the kernel for `chunked` grouped by the columns in `by`.
-    /// Dictionary merging is serial (it already is in the chunk layer);
-    /// the integer min/max domain scan parallelizes over chunks with
-    /// `threads` workers.
-    pub fn new(chunked: &'a ChunkedTable, by: &[usize], threads: usize) -> ChunkedKeyKernel<'a> {
-        let mut starts = Vec::with_capacity(chunked.n_chunks());
-        let mut lens = Vec::with_capacity(chunked.n_chunks());
-        let mut offset = 0usize;
-        for chunk in chunked.chunks() {
-            starts.push(offset);
-            lens.push(chunk.n_rows());
-            offset += chunk.n_rows();
-        }
-        let mut running: u64 = 1;
-        let mut cols = Vec::with_capacity(by.len());
-        for &col in by {
-            match chunked.merge_column_dictionaries(col) {
-                Some(remaps) => {
-                    let global_len = remaps
-                        .iter()
-                        .flat_map(|remap| remap.iter().copied())
-                        .max()
-                        .map_or(0, |m| u64::from(m) + 1);
-                    // Component 0 is reserved for missing cells.
-                    let domain = global_len + 1;
-                    let chunks = chunked
-                        .chunks()
-                        .iter()
-                        .zip(remaps)
-                        .map(|(chunk, remap)| {
-                            let Column::Cat(c) = chunk.column(col) else {
-                                unreachable!("dictionary merge only succeeds on cat columns");
-                            };
-                            CatChunk {
-                                codes: c.raw_codes(),
-                                validity: c.validity(),
-                                remap,
-                            }
-                        })
-                        .collect();
-                    running = running.saturating_mul(domain);
-                    cols.push(KernelCol::Cat { chunks, domain });
-                }
-                None => {
-                    let chunks: Vec<IntChunk<'a>> = chunked
-                        .chunks()
-                        .iter()
-                        .map(|chunk| {
-                            let Column::Int(c) = chunk.column(col) else {
-                                unreachable!("non-cat key columns are integers");
-                            };
-                            IntChunk {
-                                values: c.raw_values(),
-                                validity: c.validity(),
-                            }
-                        })
-                        .collect();
-                    let (min, domain) = if running <= DENSE_CAP {
-                        int_domain(&chunks, threads)
-                    } else {
-                        (0, u64::MAX)
-                    };
-                    running = running.saturating_mul(domain);
-                    cols.push(KernelCol::Int {
-                        chunks,
-                        min,
-                        domain,
-                    });
-                }
+/// Runs `job(0..n_chunks)` across `threads` scoped workers and returns the
+/// results in chunk order.
+///
+/// Workers are fault-isolated: each chunk's job runs under
+/// [`std::panic::catch_unwind`], and a chunk whose job panicked is re-run
+/// serially after the parallel phase (a second panic propagates to the
+/// caller). `AssertUnwindSafe` is sound because a panicked job's entire
+/// result is discarded and recomputed from scratch. With `threads <= 1` (or
+/// a single chunk) the jobs run inline on the caller's thread with no
+/// spawning and no unwind guard — the zero-overhead serial path.
+fn chunk_parallel_map<T, F>(n_chunks: usize, threads: usize, job: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let threads = threads.max(1).min(n_chunks.max(1));
+    if threads <= 1 {
+        return (0..n_chunks).map(&job).collect();
+    }
+    let slots: Vec<Option<T>> = std::thread::scope(|scope| {
+        let job = &job;
+        let handles: Vec<_> = (0..threads)
+            .map(|w| {
+                scope.spawn(move || {
+                    // Round-robin chunk assignment: worker w owns chunks
+                    // w, w + threads, w + 2·threads, ...
+                    (w..n_chunks)
+                        .step_by(threads)
+                        .map(|c| (c, catch_unwind(AssertUnwindSafe(|| job(c))).ok()))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(n_chunks).collect();
+        for handle in handles {
+            for (c, result) in handle.join().expect("worker panics are caught inside") {
+                slots[c] = result;
             }
         }
-        let product = (running <= DENSE_CAP).then_some(running.max(1) as u32);
-        ChunkedKeyKernel {
-            n_rows: chunked.n_rows(),
-            starts,
-            lens,
-            cols,
-            product,
-        }
-    }
-
-    /// Invokes `segment(chunk, local_lo, local_hi, out_offset)` for each
-    /// chunk-aligned segment of the global row range `start..start + len`.
-    fn for_segments(
-        &self,
-        start: usize,
-        len: usize,
-        mut segment: impl FnMut(usize, usize, usize, usize),
-    ) {
-        let end = start + len;
-        let mut row = start;
-        let mut out_offset = 0usize;
-        // Last chunk whose start is <= `row`; empty chunks are skipped by
-        // the length check in the loop.
-        let mut c = self.starts.partition_point(|&s| s <= row).saturating_sub(1);
-        while row < end {
-            let lo = row - self.starts[c];
-            if lo >= self.lens[c] {
-                c += 1;
-                continue;
-            }
-            let hi = self.lens[c].min(end - self.starts[c]);
-            segment(c, lo, hi, out_offset);
-            out_offset += hi - lo;
-            row = self.starts[c] + hi;
-            c += 1;
-        }
-    }
-
-    /// Chunk index and chunk-local row of a global row index.
-    fn locate(&self, row: usize) -> (usize, usize) {
-        let c = self.starts.partition_point(|&s| s <= row) - 1;
-        (c, row - self.starts[c])
-    }
-}
-
-/// Parallel min/max scan of the present values of one integer column,
-/// returning `(min, domain)` where `domain = span + 2` reserves component 0
-/// for missing cells. An all-missing column gets domain 1.
-fn int_domain(chunks: &[IntChunk<'_>], threads: usize) -> (i64, u64) {
-    let ranges = chunk_parallel_map(chunks.len(), threads, |c| {
-        let chunk = &chunks[c];
-        let mut bounds: Option<(i64, i64)> = None;
-        for (i, &v) in chunk.values.iter().enumerate() {
-            if chunk.validity.get(i) {
-                bounds = Some(match bounds {
-                    None => (v, v),
-                    Some((lo, hi)) => (lo.min(v), hi.max(v)),
-                });
-            }
-        }
-        bounds
+        slots
     });
-    match ranges
+    // Serial re-run for chunks whose job panicked keeps the result total; a
+    // deterministic panic reproduces here, on the caller's thread.
+    slots
         .into_iter()
-        .flatten()
-        .reduce(|a, b| (a.0.min(b.0), a.1.max(b.1)))
-    {
-        None => (0, 1),
-        Some((lo, hi)) => {
-            // hi - lo fits u64 even across the full i64 range.
-            let span = hi.wrapping_sub(lo) as u64;
-            (lo, span.saturating_add(2))
-        }
-    }
-}
-
-impl KeyKernel for ChunkedKeyKernel<'_> {
-    fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
-    fn dense_product(&self) -> Option<u32> {
-        self.product
-    }
-
-    fn fill_dense(&self, start: usize, out: &mut [u32]) {
-        out.fill(0);
-        let len = out.len();
-        for col in &self.cols {
-            match col {
-                KernelCol::Cat { chunks, domain } => {
-                    let d = *domain as u32;
-                    self.for_segments(start, len, |c, lo, hi, off| {
-                        let chunk = &chunks[c];
-                        for (slot, r) in out[off..off + (hi - lo)].iter_mut().zip(lo..hi) {
-                            let comp = if chunk.validity.get(r) {
-                                chunk.remap[chunk.codes[r] as usize] + 1
-                            } else {
-                                0
-                            };
-                            *slot = *slot * d + comp;
-                        }
-                    });
-                }
-                KernelCol::Int {
-                    chunks,
-                    min,
-                    domain,
-                } => {
-                    let d = *domain as u32;
-                    self.for_segments(start, len, |c, lo, hi, off| {
-                        let chunk = &chunks[c];
-                        for (slot, r) in out[off..off + (hi - lo)].iter_mut().zip(lo..hi) {
-                            let comp = if chunk.validity.get(r) {
-                                chunk.values[r].wrapping_sub(*min) as u32 + 1
-                            } else {
-                                0
-                            };
-                            *slot = *slot * d + comp;
-                        }
-                    });
-                }
-            }
-        }
-    }
-
-    fn fill_hashed(&self, start: usize, out: &mut [u64]) {
-        out.fill(KEY_HASH_SEED);
-        let len = out.len();
-        for col in &self.cols {
-            match col {
-                KernelCol::Cat { chunks, .. } => {
-                    self.for_segments(start, len, |c, lo, hi, off| {
-                        let chunk = &chunks[c];
-                        for (slot, r) in out[off..off + (hi - lo)].iter_mut().zip(lo..hi) {
-                            let comp = if chunk.validity.get(r) {
-                                u64::from(chunk.remap[chunk.codes[r] as usize]) + 1
-                            } else {
-                                0
-                            };
-                            *slot = mix64(*slot, comp);
-                        }
-                    });
-                }
-                KernelCol::Int { chunks, .. } => {
-                    self.for_segments(start, len, |c, lo, hi, off| {
-                        let chunk = &chunks[c];
-                        for (slot, r) in out[off..off + (hi - lo)].iter_mut().zip(lo..hi) {
-                            let comp = if chunk.validity.get(r) {
-                                chunk.values[r] as u64
-                            } else {
-                                INT_MISSING_SENTINEL
-                            };
-                            *slot = mix64(*slot, comp);
-                        }
-                    });
-                }
-            }
-        }
-        for slot in out.iter_mut() {
-            *slot = fmix64(*slot);
-        }
-    }
-
-    fn rows_equal(&self, a: usize, b: usize) -> bool {
-        let (ca, ra) = self.locate(a);
-        let (cb, rb) = self.locate(b);
-        self.cols.iter().all(|col| match col {
-            KernelCol::Cat { chunks, .. } => {
-                let (x, y) = (&chunks[ca], &chunks[cb]);
-                match (x.validity.get(ra), y.validity.get(rb)) {
-                    (true, true) => x.remap[x.codes[ra] as usize] == y.remap[y.codes[rb] as usize],
-                    (false, false) => true,
-                    _ => false,
-                }
-            }
-            KernelCol::Int { chunks, .. } => {
-                let (x, y) = (&chunks[ca], &chunks[cb]);
-                match (x.validity.get(ra), y.validity.get(rb)) {
-                    (true, true) => x.values[ra] == y.values[rb],
-                    (false, false) => true,
-                    _ => false,
-                }
-            }
-        })
-    }
+        .enumerate()
+        .map(|(c, slot)| slot.unwrap_or_else(|| job(c)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -778,7 +481,10 @@ mod tests {
     use super::*;
     use crate::builder::table_from_str_rows;
     use crate::groupby::GroupBy;
+    use crate::hash::{mix64, KEY_HASH_SEED};
     use crate::schema::{Attribute, Schema};
+    use crate::table::Table;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -789,7 +495,7 @@ mod tests {
         .unwrap()
     }
 
-    fn sample() -> crate::table::Table {
+    fn sample() -> Table {
         table_from_str_rows(
             schema(),
             &[
@@ -809,42 +515,67 @@ mod tests {
         .unwrap()
     }
 
-    #[test]
-    fn chunked_kernel_matches_serial_for_all_morsels_and_threads() {
-        let t = sample();
-        let serial = GroupBy::compute(&t, &[0, 1]);
-        for chunk_rows in [1, 3, 4096] {
-            let chunked = ChunkedTable::from_table(&t, chunk_rows);
-            let kernel = ChunkedKeyKernel::new(&chunked, &[0, 1], 2);
-            for threads in [1, 2, 8] {
-                for morsel_rows in [1, 2, 7, 4096] {
-                    let (assignment, n_groups) = group_codes(&kernel, threads, morsel_rows);
-                    assert_eq!(assignment.as_slice(), serial.assignments());
-                    assert_eq!(n_groups as usize, serial.n_groups());
-                }
+    /// A [`KeyKernel`] over the dense codes of a table's `by` columns;
+    /// `hashed` hides the dense product to force the hashed path.
+    struct DenseCodes {
+        n_rows: usize,
+        cols: Vec<(Vec<u32>, u32)>,
+        hashed: bool,
+    }
+
+    impl DenseCodes {
+        fn new(t: &Table, by: &[usize], hashed: bool) -> DenseCodes {
+            DenseCodes {
+                n_rows: t.n_rows(),
+                cols: by.iter().map(|&c| t.column(c).dense_codes()).collect(),
+                hashed,
             }
         }
     }
 
-    /// Forcing the hashed path (via a kernel whose dense product is hidden)
-    /// must produce the same canonical assignment as the dense path.
-    struct HashOnly<'a>(ChunkedKeyKernel<'a>);
-
-    impl KeyKernel for HashOnly<'_> {
+    impl KeyKernel for DenseCodes {
         fn n_rows(&self) -> usize {
-            self.0.n_rows()
+            self.n_rows
         }
         fn dense_product(&self) -> Option<u32> {
-            None
+            let product = self.cols.iter().map(|(_, n)| n.max(&1)).product();
+            (!self.hashed).then_some(product)
         }
         fn fill_dense(&self, start: usize, out: &mut [u32]) {
-            self.0.fill_dense(start, out);
+            out.fill(0);
+            for (codes, n) in &self.cols {
+                for (i, slot) in out.iter_mut().enumerate() {
+                    *slot = *slot * (*n).max(1) + codes[start + i];
+                }
+            }
         }
         fn fill_hashed(&self, start: usize, out: &mut [u64]) {
-            self.0.fill_hashed(start, out);
+            out.fill(KEY_HASH_SEED);
+            for (codes, _) in &self.cols {
+                for (i, slot) in out.iter_mut().enumerate() {
+                    *slot = mix64(*slot, u64::from(codes[start + i]));
+                }
+            }
+            for slot in out.iter_mut() {
+                *slot = fmix64(*slot);
+            }
         }
         fn rows_equal(&self, a: usize, b: usize) -> bool {
-            self.0.rows_equal(a, b)
+            self.cols.iter().all(|(codes, _)| codes[a] == codes[b])
+        }
+    }
+
+    #[test]
+    fn kernel_matches_serial_for_all_morsels_and_threads() {
+        let t = sample();
+        let serial = GroupBy::compute(&t, &[0, 1]);
+        let kernel = DenseCodes::new(&t, &[0, 1], false);
+        for threads in [1, 2, 8] {
+            for morsel_rows in [1, 2, 7, 4096] {
+                let (assignment, n_groups) = group_codes(&kernel, threads, morsel_rows);
+                assert_eq!(assignment.as_slice(), serial.assignments());
+                assert_eq!(n_groups as usize, serial.n_groups());
+            }
         }
     }
 
@@ -852,8 +583,7 @@ mod tests {
     fn hashed_path_matches_dense_path() {
         let t = sample();
         let serial = GroupBy::compute(&t, &[0, 1]);
-        let chunked = ChunkedTable::from_table(&t, 3);
-        let kernel = HashOnly(ChunkedKeyKernel::new(&chunked, &[0, 1], 2));
+        let kernel = DenseCodes::new(&t, &[0, 1], true);
         for threads in [1, 2, 8] {
             for morsel_rows in [1, 3, 4096] {
                 let (assignment, n_groups) = group_codes(&kernel, threads, morsel_rows);
@@ -865,9 +595,7 @@ mod tests {
 
     #[test]
     fn empty_by_produces_one_group() {
-        let t = sample();
-        let chunked = ChunkedTable::from_table(&t, 4);
-        let kernel = ChunkedKeyKernel::new(&chunked, &[], 2);
+        let kernel = DenseCodes::new(&sample(), &[], false);
         let (assignment, n_groups) = group_codes(&kernel, 4, 3);
         assert_eq!(n_groups, 1);
         assert!(assignment.iter().all(|&g| g == 0));
@@ -876,11 +604,45 @@ mod tests {
     #[test]
     fn empty_table_produces_no_groups() {
         let t = table_from_str_rows(schema(), &[]).unwrap();
-        let chunked = ChunkedTable::from_table(&t, 4);
-        let kernel = ChunkedKeyKernel::new(&chunked, &[0, 1], 2);
+        let kernel = DenseCodes::new(&t, &[0, 1], false);
         let (assignment, n_groups) = group_codes(&kernel, 4, 3);
         assert!(assignment.is_empty());
         assert_eq!(n_groups, 0);
+    }
+
+    #[test]
+    fn parallel_map_preserves_order() {
+        let results = chunk_parallel_map(17, 4, |c| c * c);
+        assert_eq!(results, (0..17).map(|c| c * c).collect::<Vec<_>>());
+        // Degenerate thread counts clamp.
+        assert_eq!(chunk_parallel_map(3, 0, |c| c), vec![0, 1, 2]);
+        assert!(chunk_parallel_map(0, 8, |c| c).is_empty());
+    }
+
+    #[test]
+    fn panicked_chunk_is_rerun_serially() {
+        // The first attempt at chunk 2 panics; the serial re-run succeeds,
+        // so the caller still sees a complete, ordered result.
+        let attempts = AtomicUsize::new(0);
+        let results = chunk_parallel_map(5, 2, |c| {
+            if c == 2 && attempts.fetch_add(1, Ordering::SeqCst) == 0 {
+                panic!("injected chunk failure");
+            }
+            c + 10
+        });
+        assert_eq!(results, vec![10, 11, 12, 13, 14]);
+        assert_eq!(attempts.load(Ordering::SeqCst), 2, "chunk 2 ran twice");
+    }
+
+    #[test]
+    #[should_panic(expected = "injected chunk failure")]
+    fn deterministic_panic_propagates_from_serial_rerun() {
+        chunk_parallel_map(3, 2, |c| {
+            if c == 1 {
+                panic!("injected chunk failure");
+            }
+            c
+        });
     }
 
     #[test]

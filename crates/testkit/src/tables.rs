@@ -115,8 +115,8 @@ pub fn arb_narrow_row() -> impl Strategy<Value = NarrowRow> {
 }
 
 /// Materializes narrow rows into a [`Table`]. Unlike the wide builder,
-/// missing flags apply unconditionally — the chunked oracle wants missing
-/// cells in every chunk, not just on selected domain values.
+/// missing flags apply unconditionally — the morsel oracle wants missing
+/// cells in every morsel, not just on selected domain values.
 pub fn build_narrow_table(rows: &[NarrowRow]) -> Table {
     let mut builder = TableBuilder::new(narrow_schema());
     for &(x, a, a_miss, s, s_miss) in rows {

@@ -52,14 +52,13 @@ pub mod prelude {
     };
     pub use psens_core::{
         attribute_disclosure_count, check_improved, check_k_anonymity, check_p_sensitivity,
-        check_p_sensitivity_chunked, is_k_anonymous, is_p_sensitive_k_anonymous, max_k,
-        max_k_chunked, max_p_of_masked, max_p_of_masked_chunked, ConfidentialStats, MaskingContext,
-        MaxGroups, ModelSpec, NoopObserver, SearchBudget,
+        is_k_anonymous, is_p_sensitive_k_anonymous, max_k, max_p_of_masked, ConfidentialStats,
+        MaskingContext, MaxGroups, ModelSpec, NoopObserver, SearchBudget,
     };
     pub use psens_hierarchy::{builders, Hierarchy, Lattice, Node, QiSpace};
     pub use psens_metrics::{avg_class_size, discernibility, identity_risk, precision};
     pub use psens_microdata::{
-        table_from_str_rows, Attribute, ChunkedTable, Column, DictionaryMerger, FrequencySet,
-        GroupBy, Kind, Role, Schema, Table, TableBuilder, Value,
+        table_from_str_rows, Attribute, Column, FrequencySet, GroupBy, Kind, Role, Schema, Table,
+        TableBuilder, Value,
     };
 }

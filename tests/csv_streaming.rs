@@ -1,16 +1,14 @@
-//! Totality and equivalence of the streaming CSV reader: `read_chunked`
-//! must never panic on arbitrary bytes, must error exactly when the
-//! buffered reader errors, and on success must produce the same table —
-//! for every chunk size, and even when every byte arrives in its own read
-//! (splitting quoted newlines, escaped quotes, and multi-byte UTF-8
-//! sequences across read boundaries).
+//! Totality and equivalence of the streaming CSV reader: `read_table` must
+//! never panic on arbitrary bytes, must error exactly when the buffered
+//! reader `read_table_str` errors, and on success must produce the same
+//! table — even when every byte arrives in its own read (splitting quoted
+//! newlines, escaped quotes, and multi-byte UTF-8 sequences across read
+//! boundaries).
 
 use proptest::prelude::*;
-use psens::microdata::csv::{read_chunked, read_table_str};
+use psens::microdata::csv::{read_table, read_table_str};
 use psens::prelude::*;
 use std::io::{BufRead, Cursor, Read};
-
-const CHUNK_SIZES: [usize; 4] = [1, 2, 7, 4096];
 
 fn schema() -> Schema {
     Schema::new(vec![
@@ -54,49 +52,27 @@ impl BufRead for TrickleReader<'_> {
 /// The oracle: stream and buffered reader agree on `input` — an error on
 /// both sides, or equal tables (dictionaries included) on both, whether the
 /// bytes arrive in bulk or one at a time.
-fn assert_stream_matches_buffered(
-    input: &str,
-    has_header: bool,
-    chunk_rows: usize,
-) -> Result<(), TestCaseError> {
+fn assert_stream_matches_buffered(input: &str, has_header: bool) -> Result<(), TestCaseError> {
     let buffered = read_table_str(input, schema(), has_header);
-    let bulk = read_chunked(
-        Cursor::new(input.as_bytes()),
-        schema(),
-        has_header,
-        chunk_rows,
-    );
-    let trickled = read_chunked(
+    let bulk = read_table(Cursor::new(input.as_bytes()), schema(), has_header);
+    let trickled = read_table(
         TrickleReader {
             data: input.as_bytes(),
             pos: 0,
         },
         schema(),
         has_header,
-        chunk_rows,
     );
     match buffered {
         Ok(table) => {
             let bulk = bulk.map_err(|e| {
                 TestCaseError::fail(format!("stream errored where buffered parsed: {e}"))
             })?;
-            prop_assert_eq!(
-                bulk.to_table(),
-                table.clone(),
-                "bulk stream diverged (chunk_rows={})",
-                chunk_rows
-            );
-            let expected_chunks = table.n_rows().div_ceil(chunk_rows.max(1));
-            prop_assert_eq!(bulk.n_chunks(), expected_chunks);
+            prop_assert_eq!(bulk, table.clone(), "bulk stream diverged");
             let trickled = trickled.map_err(|e| {
                 TestCaseError::fail(format!("trickle stream errored where buffered parsed: {e}"))
             })?;
-            prop_assert_eq!(
-                trickled.to_table(),
-                table,
-                "trickle stream diverged (chunk_rows={})",
-                chunk_rows
-            );
+            prop_assert_eq!(trickled, table, "trickle stream diverged");
         }
         Err(_) => {
             prop_assert!(bulk.is_err(), "stream parsed where buffered errored");
@@ -125,9 +101,7 @@ proptest! {
     fn stream_and_buffered_agree_on_arbitrary_bytes(
         bytes in prop::collection::vec(any::<u8>(), 0..400),
         has_header in any::<bool>(),
-        chunk_pick in 0usize..CHUNK_SIZES.len(),
     ) {
-        let chunk_rows = CHUNK_SIZES[chunk_pick];
         let buffered = match std::str::from_utf8(&bytes) {
             Ok(text) => read_table_str(text, schema(), has_header),
             // Invalid UTF-8: the buffered path fails in read_to_string.
@@ -136,30 +110,24 @@ proptest! {
                 "stream did not contain valid UTF-8",
             ))),
         };
-        let streamed = read_chunked(Cursor::new(&bytes[..]), schema(), has_header, chunk_rows);
-        let trickled = read_chunked(
-            TrickleReader { data: &bytes, pos: 0 },
-            schema(),
-            has_header,
-            chunk_rows,
-        );
+        let streamed = read_table(Cursor::new(&bytes[..]), schema(), has_header);
+        let trickled = read_table(TrickleReader { data: &bytes, pos: 0 }, schema(), has_header);
         prop_assert_eq!(streamed.is_ok(), buffered.is_ok());
         prop_assert_eq!(trickled.is_ok(), buffered.is_ok());
-        if let (Ok(stream), Ok(table)) = (streamed, buffered) {
-            prop_assert_eq!(stream.to_table(), table);
+        if let (Ok(stream), Ok(trickle), Ok(table)) = (streamed, trickled, buffered) {
+            prop_assert_eq!(&stream, &table);
+            prop_assert_eq!(trickle, table);
         }
     }
 
     /// Structured CSV built from special-case-rich fields: quoted newlines
     /// and escaped quotes inside records, missing markers, signed integers
-    /// — streamed chunks must reassemble the buffered table exactly.
+    /// — the streamed table must equal the buffered one exactly.
     #[test]
     fn stream_equals_buffered_on_generated_csv(
         rows in prop::collection::vec((INT_FIELD, CAT_FIELD, CAT_FIELD), 0..30),
         has_header in any::<bool>(),
-        chunk_pick in 0usize..CHUNK_SIZES.len(),
     ) {
-        let chunk_rows = CHUNK_SIZES[chunk_pick];
         let mut text = String::new();
         if has_header {
             text.push_str("Age,City,Illness\n");
@@ -167,31 +135,23 @@ proptest! {
         for (age, city, illness) in &rows {
             text.push_str(&format!("{age},{city},{illness}\n"));
         }
-        assert_stream_matches_buffered(&text, has_header, chunk_rows)?;
+        assert_stream_matches_buffered(&text, has_header)?;
     }
 }
 
 #[test]
-fn quoted_newlines_span_chunk_boundaries() {
-    // One-row chunks force every record onto its own chunk; the quoted
-    // fields carry the record separator itself.
+fn quoted_newlines_span_read_boundaries() {
+    // The quoted fields carry the record separator itself; the trickle
+    // reader splits every one of them across reads.
     let text = "Age,City,Illness\n\
                 30,\"New\nport\",\"Fl\r\nu\"\n\
                 40,\"Day,ton\",\"says \"\"hi\"\"\"\n\
                 50,Euclid,HIV\n";
-    for chunk_rows in CHUNK_SIZES {
-        assert_stream_matches_buffered(text, true, chunk_rows).unwrap();
-    }
-    let chunked = read_chunked(Cursor::new(text.as_bytes()), schema(), true, 1).unwrap();
-    assert_eq!(chunked.n_chunks(), 3);
-    assert_eq!(
-        chunked.to_table().value(0, 1),
-        Value::Text("New\nport".into())
-    );
-    assert_eq!(
-        chunked.to_table().value(1, 2),
-        Value::Text("says \"hi\"".into())
-    );
+    assert_stream_matches_buffered(text, true).unwrap();
+    let table = read_table(Cursor::new(text.as_bytes()), schema(), true).unwrap();
+    assert_eq!(table.n_rows(), 3);
+    assert_eq!(table.value(0, 1), Value::Text("New\nport".into()));
+    assert_eq!(table.value(1, 2), Value::Text("says \"hi\"".into()));
 }
 
 #[test]
@@ -204,16 +164,14 @@ fn ragged_trailing_record_agrees_with_buffered() {
         "1,a,b\n2,c,d,e\n",
         "1,a,b\n2,c,", // unterminated final record, short one field
     ] {
-        assert_stream_matches_buffered(text, false, 2).unwrap();
+        assert_stream_matches_buffered(text, false).unwrap();
     }
     // An unterminated but complete final record parses on both sides.
-    assert_stream_matches_buffered("1,a,b\n2,c,d", false, 2).unwrap();
+    assert_stream_matches_buffered("1,a,b\n2,c,d", false).unwrap();
 }
 
 #[test]
-fn empty_input_yields_empty_chunked_table() {
-    let chunked = read_chunked(Cursor::new(&b""[..]), schema(), false, 4).unwrap();
-    assert!(chunked.is_empty());
-    assert_eq!(chunked.n_chunks(), 0);
-    assert_eq!(chunked.to_table(), Table::empty(schema()));
+fn empty_input_yields_empty_table() {
+    let table = read_table(Cursor::new(&b""[..]), schema(), false).unwrap();
+    assert_eq!(table, Table::empty(schema()));
 }

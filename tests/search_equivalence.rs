@@ -21,13 +21,10 @@
 //! check is rejected by Condition 1 or 2. One [`VerdictStore`] is shared
 //! across all strategies, pruning modes and thread counts within a
 //! configuration: replayed and inferred verdicts must never change any
-//! result, only skip work.
-//!
-//! Known case outside the pruning axis: when Condition 1 fails and TS lets
-//! a node suppress every tuple, the pruned searches call the instance
-//! unsatisfiable, while the unpruned kernel accepts the empty release (it
-//! has no group to violate). Such configurations run pruned only; see
-//! `fully_suppressed_release_is_unsatisfiable_when_condition1_fails`.
+//! result, only skip work. That includes configurations where TS lets a
+//! node suppress every tuple: for p > 1 the kernel rejects the empty
+//! release at the k-anonymity stage, so pruned and unpruned searches agree
+//! on them too.
 
 use proptest::prelude::*;
 use psens::algorithms::{
@@ -102,17 +99,9 @@ fn assert_searches_match_oracles(
         .minimal;
     inc0.sort();
 
-    // The known pruned/unpruned disagreement on fully suppressed releases
-    // (see the module docs): compare the pruned searches only.
-    let prunings: &[Pruning] = if sam0.stats.aborted_condition1 && ts >= table.n_rows() {
-        &[Pruning::NecessaryConditions]
-    } else {
-        &[Pruning::None, Pruning::NecessaryConditions]
-    };
-
     let lattice = qi.lattice();
     let store = VerdictStore::new(&lattice, ts);
-    for &pruning in prunings {
+    for pruning in [Pruning::None, Pruning::NecessaryConditions] {
         for cache in [None, Some(&store)] {
             for threads in [1usize, 2, 8] {
                 let req = SearchRequest {
@@ -212,24 +201,37 @@ proptest! {
     }
 }
 
-/// Figure 3 at p = 4 (Illness has 3 distinct values) with TS = 10 = n: every
-/// default-request search agrees that no masking satisfies the request,
-/// although ⟨S0, Z0⟩ suppresses all ten tuples. This is the configuration
-/// the pruning axis above leaves out.
+/// Figure 3 at p = 4 (Illness has 3 distinct values) with TS = 10 = n:
+/// no masking satisfies the request, although ⟨S0, Z0⟩ may suppress all ten
+/// tuples. Samarati and the exhaustive scan agree on it with and without
+/// the necessary-condition pruning; unpruned, the empty release is what
+/// each of them has to reject.
 #[test]
 fn fully_suppressed_release_is_unsatisfiable_when_condition1_fails() {
     let im = psens::datasets::paper::figure3_microdata();
     let qi = psens::datasets::hierarchies::figure2_qi_space();
-    let req = SearchRequest::new(ModelSpec::PSensitiveK { p: 4 }, 3, im.n_rows());
-    let sam = pk_minimal_generalization(&im, &qi, &req, &NoopObserver).unwrap();
-    assert_eq!(sam.node, None);
-    assert!(sam.stats.aborted_condition1);
-    assert_eq!(sam.proven_min_height, qi.lattice().height() + 1);
-    let lw = levelwise_minimal(&im, &qi, &req, &NoopObserver).unwrap();
+    let base = SearchRequest::new(ModelSpec::PSensitiveK { p: 4 }, 3, im.n_rows());
+    for pruning in [Pruning::None, Pruning::NecessaryConditions] {
+        let req = SearchRequest {
+            pruning,
+            ..base.clone()
+        };
+        let sam = pk_minimal_generalization(&im, &qi, &req, &NoopObserver).unwrap();
+        assert_eq!(sam.node, None, "samarati {pruning:?}");
+        assert_eq!(sam.proven_min_height, qi.lattice().height() + 1);
+        assert_eq!(
+            sam.stats.aborted_condition1,
+            pruning == Pruning::NecessaryConditions
+        );
+        let ex = exhaustive_scan(&im, &qi, &req, &NoopObserver).unwrap();
+        assert!(
+            ex.satisfying.is_empty() && ex.minimal.is_empty(),
+            "exhaustive {pruning:?}"
+        );
+    }
+    let lw = levelwise_minimal(&im, &qi, &base, &NoopObserver).unwrap();
     assert!(lw.minimal.is_empty());
-    let ex = exhaustive_scan(&im, &qi, &req, &NoopObserver).unwrap();
-    assert!(ex.satisfying.is_empty() && ex.minimal.is_empty());
-    let inc = incognito_minimal(&im, &qi, &req, &NoopObserver).unwrap();
+    let inc = incognito_minimal(&im, &qi, &base, &NoopObserver).unwrap();
     assert!(inc.minimal.is_empty());
 }
 
