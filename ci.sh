@@ -1,7 +1,7 @@
 #!/bin/sh
 # Local CI: formatting, lints, release build, and the test suite — the same
 # gate a hosted pipeline would run. Operates on the default member set, which
-# excludes crates/bench so everything here works offline. Builds are
+# is every crate in the workspace (crates/bench included). Builds are
 # `--locked`: the committed Cargo.lock plus the in-tree `vendor/` directory
 # make the pipeline reproducible with no network access.
 set -eu
@@ -63,17 +63,22 @@ cmp -s "$SMOKE_DIR/stable_1" "$SMOKE_DIR/stable_2" \
 echo "==> smoke: parallel + cached search is byte-for-byte deterministic"
 # Unbudgeted, the parallel probe must pick the same (lexicographic-first)
 # winner as the serial scan, and replayed verdicts must not change it: two
-# 8-thread runs and one cache-disabled run produce identical releases.
+# 8-thread runs, one cache-disabled run and one serial run produce identical
+# releases. The stratum runner behind --threads is the only parallel path.
 for run in par_1 par_2; do
   "$PSENS" anonymize --spec "$SMOKE_DIR/spec.json" --input "$SMOKE_DIR/data.csv" \
     --out "$SMOKE_DIR/$run.csv" --k 3 --p 2 --ts 500 --threads 8 > /dev/null
 done
 "$PSENS" anonymize --spec "$SMOKE_DIR/spec.json" --input "$SMOKE_DIR/data.csv" \
   --out "$SMOKE_DIR/no_cache.csv" --k 3 --p 2 --ts 500 --threads 8 --no-cache > /dev/null
+"$PSENS" anonymize --spec "$SMOKE_DIR/spec.json" --input "$SMOKE_DIR/data.csv" \
+  --out "$SMOKE_DIR/serial.csv" --k 3 --p 2 --ts 500 --threads 1 > /dev/null
 cmp "$SMOKE_DIR/par_1.csv" "$SMOKE_DIR/par_2.csv" \
   || { echo "8-thread releases differ between runs"; exit 1; }
 cmp "$SMOKE_DIR/par_1.csv" "$SMOKE_DIR/no_cache.csv" \
   || { echo "--no-cache changed the release"; exit 1; }
+cmp "$SMOKE_DIR/par_1.csv" "$SMOKE_DIR/serial.csv" \
+  || { echo "--threads 1 and --threads 8 releases differ"; exit 1; }
 
 echo "==> smoke: model matrix (check + anonymize under every privacy model)"
 # Every pluggable model must drive the CLI end to end. The raw CSV is not

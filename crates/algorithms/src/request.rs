@@ -52,7 +52,7 @@ pub struct SearchRequest<'a> {
     /// Limits on the search's work; an interrupted search returns its
     /// best-so-far result labelled by its termination.
     pub budget: SearchBudget,
-    /// Worker threads, verdict store and chunked partitioning.
+    /// Worker threads and verdict store.
     pub tuning: Tuning<'a>,
     /// Confidential statistics of the table, when the caller already has
     /// them (the incremental update path maintains them across deltas
@@ -134,19 +134,11 @@ impl<'s> Setup<'s> {
         }
     }
 
-    /// Builds the code-mapped kernel context for the request's model, with
-    /// chunked partitioning when `tuning.chunk_rows > 0`.
+    /// Builds the code-mapped kernel context for the request's model.
     pub fn eval_context<O: SearchObserver>(
         &self,
         observer: &O,
     ) -> Result<EvalContext, psens_hierarchy::Error> {
-        let ectx = EvalContext::build_observed(&self.ctx, observer)?;
-        let tuning = self.req.tuning;
-        let ectx = if tuning.chunk_rows > 0 {
-            ectx.with_chunked_partition(tuning.chunk_rows, tuning.effective_threads())
-        } else {
-            ectx
-        };
-        Ok(ectx.with_model(self.req.model))
+        Ok(EvalContext::build_observed(&self.ctx, observer)?.with_model(self.req.model))
     }
 }

@@ -13,23 +13,22 @@ use psens_microdata::resolve_threads;
 /// search runs, never what it returns.
 #[derive(Debug, Clone, Copy)]
 pub struct Tuning<'a> {
-    /// Worker threads for per-stratum evaluation and the chunked partition
-    /// kernel. `1` means serial (the historical code path, bit-identical
-    /// stats); `0` means one worker per available core
-    /// ([`std::thread::available_parallelism`], the same convention as the
-    /// CLI's `--threads 0`); with more threads each lattice stratum is
-    /// chunked across scoped workers.
+    /// Worker threads for per-stratum evaluation. `1` means serial (the
+    /// historical code path, bit-identical stats); `0` means one worker per
+    /// available core ([`std::thread::available_parallelism`], the same
+    /// convention as the CLI's `--threads 0`); with more threads each
+    /// lattice stratum is chunked across scoped workers.
     pub threads: usize,
     /// Shared verdict store consulted before every kernel check and updated
     /// with every fresh verdict. The store must have been built for the
     /// same `(table, QI space, p, k, ts)` configuration; sharing one store
     /// across runs (or across strategies) is what makes verdicts reusable.
     pub cache: Option<&'a VerdictStore>,
-    /// Rows per chunk for the evaluator's chunk-parallel partition kernel.
-    /// `0` (the default) keeps the serial kernel; any other value makes
-    /// every node check partition in chunks of this many rows across the
-    /// same `threads` workers. Verdicts are identical either way — the
-    /// chunked merge reproduces the serial group ids exactly.
+    /// Has no effect. It remains only because the out-of-workspace
+    /// benchmark builds `Tuning` as a struct literal; it is deleted with
+    /// the `pk_minimal_generalization_model_with_stats` forwarder the next
+    /// time the benchmark changes. Build tunings with `..Tuning::default()`.
+    #[doc(hidden)]
     pub chunk_rows: usize,
 }
 

@@ -70,7 +70,7 @@ fn bench_size(n: usize) -> SizeReport {
             tuning: Tuning {
                 threads: 1,
                 cache: Some(&store),
-                chunk_rows: 0,
+                ..Tuning::default()
             },
             ..SearchRequest::new(MODEL, K, TS)
         },
@@ -93,7 +93,7 @@ fn bench_size(n: usize) -> SizeReport {
                 tuning: Tuning {
                     threads: 1,
                     cache: Some(&store),
-                    chunk_rows: 0,
+                    ..Tuning::default()
                 },
                 stats: Some(&stats),
                 ..SearchRequest::new(MODEL, K, TS)

@@ -10,9 +10,6 @@
 //! overhead/speedup pairs and the thread-scaling pair, with the recording
 //! host's `available_parallelism` stated so scaling numbers from 1-core CI
 //! boxes are not mistaken for regressions.)
-//!
-//! Unlike the Criterion benches this needs no dev-dependencies, so it runs
-//! in the hermetic (offline) build too.
 
 use psens_algorithms::{exhaustive_scan, pk_minimal_generalization, SearchRequest, Tuning};
 use psens_bench::workloads;
@@ -136,7 +133,7 @@ fn main() {
                 tuning: Tuning {
                     threads: 1,
                     cache: Some(&store),
-                    chunk_rows: 0,
+                    ..Tuning::default()
                 },
                 ..scan_req.clone()
             };
@@ -187,34 +184,34 @@ fn main() {
         samarati(Tuning {
             threads: 1,
             cache: Some(&store),
-            chunk_rows: 0,
+            ..Tuning::default()
         });
     }));
     let warm_store = VerdictStore::new(&wide_lattice, TS);
     samarati(Tuning {
         threads: 1,
         cache: Some(&warm_store),
-        chunk_rows: 0,
+        ..Tuning::default()
     });
     let wide_cached_warm = secs_of(rate(1, || {
         samarati(Tuning {
             threads: 1,
             cache: Some(&warm_store),
-            chunk_rows: 0,
+            ..Tuning::default()
         });
     }));
     let wide_threads_1 = secs_of(rate(1, || {
         samarati(Tuning {
             threads: 1,
             cache: None,
-            chunk_rows: 0,
+            ..Tuning::default()
         });
     }));
     let wide_threads_8 = secs_of(rate(1, || {
         samarati(Tuning {
             threads: 8,
             cache: None,
-            chunk_rows: 0,
+            ..Tuning::default()
         });
     }));
 

@@ -1,5 +1,4 @@
-//! Shared workload builders used by both the experiment runner and the
-//! Criterion benches.
+//! Synthetic workload builders for the bench binaries.
 
 use psens_datasets::AdultGenerator;
 use psens_microdata::{Attribute, Schema, Table, TableBuilder, Value};

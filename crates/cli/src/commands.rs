@@ -87,7 +87,7 @@ COMMANDS:
              [--k K] [--model NAME] [--p P] [--l L] [--t T] [--ts N]
              [--algorithm samarati|mondrian|pram]
              [--timeout SECS] [--max-nodes N] [--seed S]
-             [--threads N] [--chunk-rows N] [--no-cache]
+             [--threads N] [--no-cache]
              [--report FILE.json] [--verbose]
              `pram` fixes the QI at the k-minimal node and repairs
              confidential cells by post-randomisation (--seed) instead of
@@ -133,9 +133,6 @@ COMMANDS:
 
   Inputs read against a --spec stream into the columnar table without
   buffering the CSV text.
-  anonymize --chunk-rows N runs each node check's group-by morsel-parallel
-  across --threads workers in N-row morsels. Results are identical to the
-  serial path; 0 (the default) keeps the serial kernel.
   --threads 0 (the default) means one worker per available core.
 ";
 
@@ -367,49 +364,50 @@ fn generate(args: &Args) -> Result<String, String> {
     let seed = args.get_u64("seed", 42)?;
     let deltas = args.get_usize("deltas", 0)?;
     let out = args.require("out")?;
-    let mut file = std::fs::File::create(out).map_err(|e| format!("creating {out}: {e}"))?;
-    if deltas > 0 && args.get("profile").unwrap_or("adult") != "adult" {
-        return Err("--deltas is only supported with --profile adult".to_owned());
-    }
-    match args.get("profile").unwrap_or("adult") {
-        "adult" => {
-            let table = AdultGenerator::new(seed).generate(rows);
-            csv::write_table(&mut file, &table, true).map_err(|e| e.to_string())?;
-            if deltas > 0 {
-                let deltas_out = args.require("deltas-out")?;
-                let (jsonl, finished) = generate_delta_sequence(&table, deltas, seed)?;
-                std::fs::write(deltas_out, jsonl)
-                    .map_err(|e| format!("writing {deltas_out}: {e}"))?;
-                if let Some(final_out) = args.get("final-out") {
-                    let mut final_file = std::fs::File::create(final_out)
-                        .map_err(|e| format!("creating {final_out}: {e}"))?;
-                    csv::write_table(&mut final_file, &finished, true)
-                        .map_err(|e| e.to_string())?;
-                }
-                return Ok(format!(
-                    "wrote {rows} rows to {out}, {deltas} deltas to {deltas_out} (final: {} rows)",
-                    finished.n_rows()
-                ));
-            }
-        }
-        "scale" => {
-            // Stream batch by batch so --rows 10000000 never holds more
-            // than one batch in memory; the output does not depend on the
-            // batch size.
-            let mut header = true;
-            for chunk in ScaleGenerator::new(seed).chunks(rows, 65_536) {
-                csv::write_table(&mut file, &chunk, header).map_err(|e| e.to_string())?;
-                header = false;
-            }
-            if header {
-                // Zero rows: still emit the header line.
-                let empty = Table::empty(ScaleGenerator::schema());
-                csv::write_table(&mut file, &empty, true).map_err(|e| e.to_string())?;
-            }
-        }
+    // Every option is validated before `--out` is created, so a rejected
+    // command leaves an existing file untouched.
+    let scale = match args.get("profile").unwrap_or("adult") {
+        "adult" => false,
+        "scale" => true,
         other => return Err(format!("unknown profile `{other}` (adult|scale)")),
+    };
+    let deltas_out = match deltas {
+        0 => None,
+        _ if scale => return Err("--deltas is only supported with --profile adult".to_owned()),
+        _ => Some(args.require("deltas-out")?),
+    };
+    let mut file = std::fs::File::create(out).map_err(|e| format!("creating {out}: {e}"))?;
+    if scale {
+        // Stream batch by batch so --rows 10000000 never holds more than
+        // one batch in memory; the output does not depend on the batch size.
+        let mut header = true;
+        for batch in ScaleGenerator::new(seed).chunks(rows, 65_536) {
+            csv::write_table(&mut file, &batch, header).map_err(|e| e.to_string())?;
+            header = false;
+        }
+        if header {
+            // Zero rows: still emit the header line.
+            let empty = Table::empty(ScaleGenerator::schema());
+            csv::write_table(&mut file, &empty, true).map_err(|e| e.to_string())?;
+        }
+        return Ok(format!("wrote {rows} rows to {out}"));
     }
-    Ok(format!("wrote {rows} rows to {out}"))
+    let table = AdultGenerator::new(seed).generate(rows);
+    csv::write_table(&mut file, &table, true).map_err(|e| e.to_string())?;
+    let Some(deltas_out) = deltas_out else {
+        return Ok(format!("wrote {rows} rows to {out}"));
+    };
+    let (jsonl, finished) = generate_delta_sequence(&table, deltas, seed)?;
+    std::fs::write(deltas_out, jsonl).map_err(|e| format!("writing {deltas_out}: {e}"))?;
+    if let Some(final_out) = args.get("final-out") {
+        let mut final_file =
+            std::fs::File::create(final_out).map_err(|e| format!("creating {final_out}: {e}"))?;
+        csv::write_table(&mut final_file, &finished, true).map_err(|e| e.to_string())?;
+    }
+    Ok(format!(
+        "wrote {rows} rows to {out}, {deltas} deltas to {deltas_out} (final: {} rows)",
+        finished.n_rows()
+    ))
 }
 
 fn write_spec(args: &Args) -> Result<String, String> {
@@ -697,9 +695,6 @@ fn anonymize(args: &Args) -> Result<CmdOutput, String> {
     let limits = BudgetSpec::from_args(args)?;
     let spec = load_spec(args)?;
     let table = load_table(args, &spec)?;
-    // With --chunk-rows the evaluator's partition kernel runs
-    // morsel-parallel in chunk-rows morsels.
-    let chunk_rows = args.get_usize("chunk-rows", 0)?;
     let out_path = args.require("out")?;
     let k = args.get_u32("k", 2)?;
     let spec_model = model_arg(args, 1)?;
@@ -736,7 +731,7 @@ fn anonymize(args: &Args) -> Result<CmdOutput, String> {
                 tuning: Tuning {
                     threads,
                     cache: store.as_ref(),
-                    chunk_rows,
+                    ..Tuning::default()
                 },
                 ..SearchRequest::new(spec_model, k, ts)
             };
@@ -1692,7 +1687,7 @@ mod tests {
     }
 
     #[test]
-    fn chunked_anonymize_matches_buffered_release() {
+    fn parallel_anonymize_matches_serial_release() {
         let data = temp_path("cadata.csv");
         let spec = temp_path("caspec.json");
         let data_s = data.to_str().unwrap();
@@ -1701,55 +1696,70 @@ mod tests {
         run_line(&["spec", "--out", spec_s]).unwrap();
         let masked_a = temp_path("camasked_a.csv");
         let masked_b = temp_path("camasked_b.csv");
-        let buffered = run_full(&[
-            "anonymize",
-            "--spec",
-            spec_s,
-            "--input",
-            data_s,
-            "--out",
-            masked_a.to_str().unwrap(),
-            "--k",
-            "2",
-            "--p",
-            "2",
-            "--ts",
-            "10",
-        ])
-        .unwrap();
-        let chunked = run_full(&[
-            "anonymize",
-            "--spec",
-            spec_s,
-            "--input",
-            data_s,
-            "--out",
-            masked_b.to_str().unwrap(),
-            "--k",
-            "2",
-            "--p",
-            "2",
-            "--ts",
-            "10",
-            "--chunk-rows",
-            "64",
-            "--threads",
-            "2",
-        ])
-        .unwrap();
-        assert_eq!(buffered.code, 0, "{}", buffered.text);
-        assert_eq!(chunked.code, 0, "{}", chunked.text);
+        let anonymize = |out: &std::path::Path, threads: &str| {
+            run_full(&[
+                "anonymize",
+                "--spec",
+                spec_s,
+                "--input",
+                data_s,
+                "--out",
+                out.to_str().unwrap(),
+                "--k",
+                "2",
+                "--p",
+                "2",
+                "--ts",
+                "10",
+                "--threads",
+                threads,
+            ])
+            .unwrap()
+        };
+        let serial = anonymize(&masked_a, "1");
+        let parallel = anonymize(&masked_b, "2");
+        assert_eq!(serial.code, 0, "{}", serial.text);
+        assert_eq!(parallel.code, 0, "{}", parallel.text);
         // The winning node and the released file agree; only the output
         // paths differ in the report text.
         assert_eq!(
-            buffered.text.lines().next(),
-            chunked.text.lines().next(),
+            serial.text.lines().next(),
+            parallel.text.lines().next(),
             "same p-k-minimal node"
         );
         assert_eq!(
             std::fs::read_to_string(&masked_a).unwrap(),
             std::fs::read_to_string(&masked_b).unwrap()
         );
+    }
+
+    #[test]
+    fn rejected_generate_leaves_existing_output_untouched() {
+        let out = temp_path("rejected_generate.csv");
+        let deltas_out = temp_path("rejected_generate.jsonl");
+        let out_s = out.to_str().unwrap();
+        let deltas_out_s = deltas_out.to_str().unwrap();
+        let before = b"keep,these\nbytes,intact\n";
+        for line in [
+            &["generate", "--profile", "bogus", "--out", out_s][..],
+            &[
+                "generate",
+                "--profile",
+                "scale",
+                "--deltas",
+                "3",
+                "--deltas-out",
+                deltas_out_s,
+                "--out",
+                out_s,
+            ],
+            &["generate", "--rows", "20", "--deltas", "3", "--out", out_s],
+        ] {
+            std::fs::write(&out, before).unwrap();
+            assert!(run_full(line).is_err(), "{line:?} must be rejected");
+            assert_eq!(std::fs::read(&out).unwrap(), before, "{line:?}");
+            assert!(!deltas_out.exists(), "{line:?} wrote --deltas-out");
+        }
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //! [`ScaleGenerator::generate`] equals the concatenation of
 //! [`ScaleGenerator::chunks`] for *any* chunk size: the streaming producer
 //! and the one-shot table are the same dataset, which is what lets the CLI
-//! stream a 10M-row CSV to disk in bounded memory and the benches compare
-//! serial and chunked group-by on identical inputs.
+//! stream a 10M-row CSV to disk in bounded memory.
 
 use crate::adult::{
     pick_weighted, sample_age, sample_capital_gain, sample_capital_loss, sample_high_pay,
@@ -66,15 +65,15 @@ impl ScaleGenerator {
         builder.finish()
     }
 
-    /// Streams `n` tuples as tables of at most `chunk_rows` rows (clamped to
+    /// Streams `n` tuples as tables of at most `batch_rows` rows (clamped to
     /// at least 1). The concatenation of the chunks is exactly
     /// [`ScaleGenerator::generate`]`(n)` — one RNG runs through all chunks —
     /// so memory is bounded by the chunk size, not `n`.
-    pub fn chunks(&self, n: usize, chunk_rows: usize) -> ScaleChunks {
+    pub fn chunks(&self, n: usize, batch_rows: usize) -> ScaleChunks {
         ScaleChunks {
             rng: self.rng(),
             remaining: n,
-            chunk_rows: chunk_rows.max(1),
+            batch_rows: batch_rows.max(1),
         }
     }
 
@@ -88,7 +87,7 @@ impl ScaleGenerator {
 pub struct ScaleChunks {
     rng: StdRng,
     remaining: usize,
-    chunk_rows: usize,
+    batch_rows: usize,
 }
 
 impl Iterator for ScaleChunks {
@@ -98,7 +97,7 @@ impl Iterator for ScaleChunks {
         if self.remaining == 0 {
             return None;
         }
-        let rows = self.remaining.min(self.chunk_rows);
+        let rows = self.remaining.min(self.batch_rows);
         self.remaining -= rows;
         let mut builder = TableBuilder::new(ScaleGenerator::schema());
         for _ in 0..rows {
@@ -164,14 +163,14 @@ mod tests {
     fn chunks_concatenate_to_generate() {
         let g = ScaleGenerator::new(13);
         let whole = g.generate(257);
-        for chunk_rows in [1usize, 7, 64, 256, 257, 1000] {
+        for batch_rows in [1usize, 7, 64, 256, 257, 1000] {
             let mut builder = TableBuilder::new(ScaleGenerator::schema());
-            for chunk in g.chunks(257, chunk_rows) {
+            for chunk in g.chunks(257, batch_rows) {
                 for row in 0..chunk.n_rows() {
                     builder.push_row(chunk.row(row).unwrap()).unwrap();
                 }
             }
-            assert_eq!(builder.finish(), whole, "chunk_rows={chunk_rows}");
+            assert_eq!(builder.finish(), whole, "batch_rows={batch_rows}");
         }
     }
 

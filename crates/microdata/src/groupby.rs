@@ -169,12 +169,12 @@ impl GroupBy {
         GroupBy::from_assignment(current, n_groups, by.to_vec())
     }
 
-    /// Builds a grouping directly from pre-combined dense group ids — the
-    /// code-mapped fast path. `current[r]` is row `r`'s group id, dense in
-    /// `0..n_groups` and assigned in order of first appearance (exactly what
-    /// [`CodeCombiner`] produces). `by` records which attributes the ids were
-    /// derived from, for [`GroupBy::key_of_group`]-style introspection.
-    pub fn from_assignment(current: Vec<u32>, n_groups: u32, by: Vec<usize>) -> GroupBy {
+    /// Builds a grouping from pre-combined dense group ids. `current[r]` is
+    /// row `r`'s group id, dense in `0..n_groups` and assigned in order of
+    /// first appearance (exactly what [`CodeCombiner`] produces). `by`
+    /// records which attributes the ids were derived from, for
+    /// [`GroupBy::key_of_group`]-style introspection.
+    fn from_assignment(current: Vec<u32>, n_groups: u32, by: Vec<usize>) -> GroupBy {
         let mut group_sizes = vec![0u32; n_groups as usize];
         let mut representatives = vec![u32::MAX; n_groups as usize];
         for (row, &g) in current.iter().enumerate() {

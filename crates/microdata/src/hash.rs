@@ -17,35 +17,6 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// 64-bit golden-ratio constant used to mix each word into the state.
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
-/// Initial state for the multi-column key hashes of the morsel executor
-/// (see [`crate::morsel`]). Any fixed odd-ish constant works; what matters
-/// is that every caller seeds identically, so equal keys hash equal across
-/// workers, morsel sizes, and runs.
-pub const KEY_HASH_SEED: u64 = 0x9e_37_79_b9_7f_4a_7c_15;
-
-/// Folds one 64-bit key component into `state` — the seeded multiply-shift
-/// scheme of [`FxHasher`], exposed as a free function so the morsel
-/// executor's multi-column kernel can hash one column at a time over whole
-/// row ranges without constructing a `Hasher` per row.
-#[inline]
-pub fn mix64(state: u64, word: u64) -> u64 {
-    (state.rotate_left(5) ^ word).wrapping_mul(SEED)
-}
-
-/// Final avalanche (the splitmix64 finalizer): multiply-shift states have
-/// weak high/low bits, and the morsel executor derives radix *partitions*
-/// from bits of the hash, so every state is finished through this before
-/// bits are extracted. Bijective — it cannot introduce collisions.
-#[inline]
-pub fn fmix64(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf_58_47_6d_1c_e4_e5_b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94_d0_49_bb_13_31_11_eb);
-    x ^= x >> 31;
-    x
-}
-
 /// Multiply-xor hasher compatible with `std::hash::Hasher`.
 #[derive(Debug, Default, Clone)]
 pub struct FxHasher {
@@ -162,32 +133,6 @@ mod tests {
         }
         assert_eq!(map.len(), 1000);
         assert_eq!(map.get(&vec![10, 20]), Some(&10));
-    }
-
-    #[test]
-    fn fmix64_is_deterministic_and_disperses_high_bits() {
-        assert_eq!(fmix64(42), fmix64(42));
-        // Partition selection reads high-ish bits (>> 32); consecutive
-        // small keys — the worst case for multiply-shift states — must
-        // spread across 8 buckets instead of piling into one.
-        let mut buckets = [0usize; 8];
-        for key in 0u64..4096 {
-            buckets[((fmix64(mix64(KEY_HASH_SEED, key)) >> 32) & 7) as usize] += 1;
-        }
-        let expected = 4096 / 8;
-        for (i, &count) in buckets.iter().enumerate() {
-            assert!(
-                count > expected / 4 && count < expected * 4,
-                "bucket {i} got {count} of expected {expected}"
-            );
-        }
-    }
-
-    #[test]
-    fn mix64_order_sensitive() {
-        let ab = mix64(mix64(KEY_HASH_SEED, 1), 2);
-        let ba = mix64(mix64(KEY_HASH_SEED, 2), 1);
-        assert_ne!(ab, ba);
     }
 
     #[test]

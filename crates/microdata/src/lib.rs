@@ -61,9 +61,9 @@ mod freq;
 mod groupby;
 pub mod hash;
 pub mod json;
-pub mod morsel;
 mod schema;
 mod table;
+mod threads;
 mod value;
 
 pub use bitmap::Bitmap;
@@ -77,7 +77,7 @@ pub use error::{Error, Result};
 pub use freq::FrequencySet;
 pub use groupby::{CodeCombiner, GroupBy};
 pub use json::{JsonError, JsonResult, JsonValue};
-pub use morsel::{group_codes, resolve_threads, KeyKernel, DENSE_CAP};
 pub use schema::{Attribute, Kind, Role, Schema};
 pub use table::Table;
+pub use threads::resolve_threads;
 pub use value::Value;

@@ -889,9 +889,8 @@ fn register_op(state: &ServerState, request: &JsonValue) -> OpResult {
 }
 
 /// `check {dataset, model?, p?/l?/t_ppm?, k?}`: the CLI `check` verdict on
-/// the interned table (whole-table serial path — identical results to the
-/// chunked one). The default model, `psens-k`, keeps its original response
-/// shape; every model also reports `model`/`param`.
+/// the interned table. The default model, `psens-k`, keeps its original
+/// response shape; every model also reports `model`/`param`.
 fn check_op(state: &ServerState, request: &JsonValue) -> OpResult {
     let dataset = lookup_dataset(state, request)?;
     let k = param_u32(request, "k", 2)?;
@@ -1059,7 +1058,7 @@ fn anonymize_op(
         tuning: Tuning {
             threads,
             cache: store.as_deref(),
-            chunk_rows: 0,
+            ..Tuning::default()
         },
         stats: Some(&stats),
         ..SearchRequest::new(spec, k, ts)
@@ -1150,7 +1149,7 @@ fn watched_verdict(
         tuning: Tuning {
             threads: 0,
             cache: Some(&store),
-            chunk_rows: 0,
+            ..Tuning::default()
         },
         stats: Some(&stats),
         ..SearchRequest::new(spec, k, ts)

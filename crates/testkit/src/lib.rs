@@ -1,10 +1,9 @@
 //! # psens-testkit
 //!
 //! Fixture builders shared by the integration suites. Before this crate,
-//! `tests/kernel_equivalence.rs`, `tests/search_equivalence.rs`, and
-//! `tests/chunked_equivalence.rs` each carried their own copies of the same
-//! schemas, row strategies, table builders, and QI spaces; any fix to one
-//! silently diverged from the others.
+//! the kernel, search and group-by equivalence suites each carried their
+//! own copies of the same schemas, row strategies, table builders, and QI
+//! spaces; any fix to one silently diverged from the others.
 //!
 //! **Compatibility contract:** the proptest strategies here are
 //! *structurally identical* to the copies they replaced — same tuple

@@ -66,21 +66,3 @@ pub fn flat_y_qi_space() -> QiSpace {
     )])
     .unwrap()
 }
-
-/// QI space over X (3 levels) and a coarser A (2 ranges, then `*`): the
-/// 6-node lattice the chunked search-verdict oracle can walk quickly.
-pub fn narrow_qi_space() -> QiSpace {
-    let a = IntHierarchy::new(vec![
-        IntLevel::Ranges {
-            cuts: vec![2],
-            labels: vec!["0-1".into(), "2-3".into()],
-        },
-        IntLevel::Single("*".into()),
-    ])
-    .unwrap();
-    QiSpace::new(vec![
-        ("X".into(), Hierarchy::Cat(x_hierarchy())),
-        ("A".into(), Hierarchy::Int(a)),
-    ])
-    .unwrap()
-}

@@ -5,7 +5,7 @@
 //! - the **wide** family (identifier + three keys + two confidential
 //!   attributes) used by the kernel and search equivalence oracles, and
 //! - the **narrow** family (two keys + one confidential attribute) used by
-//!   the chunked-layer oracle, where small rows keep the chunk count high.
+//!   the group-by oracle (`tests/groupby_equivalence.rs`).
 //!
 //! The strategies keep the exact tuple structure of the per-suite copies
 //! they replaced (see the crate docs for why).
@@ -115,8 +115,8 @@ pub fn arb_narrow_row() -> impl Strategy<Value = NarrowRow> {
 }
 
 /// Materializes narrow rows into a [`Table`]. Unlike the wide builder,
-/// missing flags apply unconditionally — the morsel oracle wants missing
-/// cells in every morsel, not just on selected domain values.
+/// missing flags apply unconditionally, so missing cells can land on any
+/// domain value, not just on selected ones.
 pub fn build_narrow_table(rows: &[NarrowRow]) -> Table {
     let mut builder = TableBuilder::new(narrow_schema());
     for &(x, a, a_miss, s, s_miss) in rows {

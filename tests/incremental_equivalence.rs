@@ -118,7 +118,7 @@ fn assert_incremental_matches_scratch(
                     tuning: Tuning {
                         threads: 1,
                         cache: Some(&store),
-                        chunk_rows: 0,
+                        ..Tuning::default()
                     },
                     ..SearchRequest::new(spec, k, ts)
                 },
@@ -197,7 +197,7 @@ fn assert_incremental_matches_scratch(
                         tuning: Tuning {
                             threads,
                             cache: Some(store),
-                            chunk_rows: 0,
+                            ..Tuning::default()
                         },
                         stats: Some(&stats),
                         ..SearchRequest::new(*spec, k, ts)

@@ -237,7 +237,7 @@ fn replayed_verdicts_do_not_consume_the_node_budget() {
     let tuning = Tuning {
         threads: 1,
         cache: Some(&store),
-        chunk_rows: 0,
+        ..Tuning::default()
     };
     let warm_req = SearchRequest {
         tuning,
@@ -287,7 +287,7 @@ fn inferred_verdicts_never_count_against_the_budget() {
     let tuning = Tuning {
         threads: 1,
         cache: Some(&store),
-        chunk_rows: 0,
+        ..Tuning::default()
     };
 
     // A completed level-wise pass settles the whole lattice: evaluated nodes

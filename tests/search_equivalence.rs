@@ -109,7 +109,7 @@ fn assert_searches_match_oracles(
                     tuning: Tuning {
                         threads,
                         cache,
-                        chunk_rows: 0,
+                        ..Tuning::default()
                     },
                     ..oracle.clone()
                 };
@@ -248,7 +248,7 @@ fn a_levelwise_warmed_store_answers_the_whole_binary_search() {
     let tuning = Tuning {
         threads: 1,
         cache: Some(&store),
-        chunk_rows: 0,
+        ..Tuning::default()
     };
 
     // A completed level-wise run settles every lattice node: evaluated
