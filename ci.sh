@@ -84,9 +84,10 @@ echo "==> smoke: model matrix (check + anonymize under every privacy model)"
 # Every pluggable model must drive the CLI end to end. The raw CSV is not
 # even 3-anonymous, so `check` exits 2 (violation) under every model — the
 # same code as the psens-k baseline — and `anonymize` must find a release
-# (exit 0) under each. entropy-l runs at l = 1 because the synthetic Adult
-# confidential columns are too skewed to reach ln 2 at any generalization;
-# t-closeness is always satisfiable at the top node (one group, EMD 0).
+# (exit 0) under each, byte-identical with the verdict store off. entropy-l
+# runs at l = 1 because the synthetic Adult confidential columns are too
+# skewed to reach ln 2 at any generalization; t-closeness is always
+# satisfiable at the top node (one group, EMD 0).
 baseline_code=0
 "$PSENS" check --spec "$SMOKE_DIR/spec.json" --input "$SMOKE_DIR/data.csv" \
   --k 3 --p 2 > /dev/null || baseline_code=$?
@@ -107,6 +108,11 @@ for entry in "psens-k --p 2" "distinct-l --l 2" "entropy-l --l 1" "t-closeness -
   [ "$code" -eq 0 ] || { echo "anonymize --model $model exited $code"; exit 1; }
   [ -s "$SMOKE_DIR/model_$model.csv" ] \
     || { echo "anonymize --model $model wrote no release"; exit 1; }
+  "$PSENS" anonymize --spec "$SMOKE_DIR/spec.json" --input "$SMOKE_DIR/data.csv" \
+    --model "$model" "$@" --k 3 --ts 500 --threads 8 --no-cache \
+    --out "$SMOKE_DIR/model_${model}_no_cache.csv" > /dev/null
+  cmp "$SMOKE_DIR/model_$model.csv" "$SMOKE_DIR/model_${model}_no_cache.csv" \
+    || { echo "--no-cache changed the $model release"; exit 1; }
 done
 # The shared distinct-count predicate must yield the same release bytes
 # whether it is called p-sensitivity or distinct l-diversity.

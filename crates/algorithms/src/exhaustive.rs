@@ -65,7 +65,7 @@ type Scanned = (Vec<Node>, Vec<(Node, usize)>, SearchStats);
 /// everything evaluated up to that point, labelled by the outcome's
 /// `termination`. It replays only **exact** cached verdicts from
 /// `tuning.cache` (`allow_inferred` off): its per-node annotations need the
-/// exact `violating_tuples` count, which monotonicity inference cannot
+/// exact `violating_tuples` count, which an inferred k-failure cannot
 /// supply, so an inferred-only entry misses and is upgraded to an exact
 /// record by the fresh check.
 pub fn exhaustive_scan<O: SearchObserver>(

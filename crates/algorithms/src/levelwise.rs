@@ -2,8 +2,8 @@
 //!
 //! LeFevre et al.'s Incognito enumerates the lattice breadth-first from the
 //! bottom, exploiting the *generalization property* (rollup): once a node is
-//! known to satisfy the property, every ancestor satisfies it too and need
-//! never be evaluated. Unlike binary search it finds **all** minimal nodes,
+//! known to satisfy the property, no ancestor can be minimal, so none need
+//! ever be evaluated. Unlike binary search it finds **all** minimal nodes,
 //! evaluating only the "frontier" below and at the minimal boundary.
 //!
 //! As in the paper's Algorithm 3, the per-node check is Algorithm 2, so the
@@ -39,10 +39,11 @@ pub struct LevelWiseOutcome {
 
 /// Bottom-up search for all minimal satisfying nodes.
 ///
-/// Relies on the same monotonicity assumption as Samarati's binary search
-/// and the paper's Algorithm 3: a node dominated by a satisfying node also
-/// satisfies. Rollup relies on monotonicity, which every built-in
-/// [`ModelSpec`](psens_core::ModelSpec) declares.
+/// Rollup needs no monotonicity: under Definition 3 a node with a satisfying
+/// descendant is not minimal whether or not it satisfies, so skipping it
+/// never changes `minimal`. That is why this search stays correct where
+/// Samarati's binary search does not (`ts > 0`, see
+/// [`pk_minimal_generalization`](crate::pk_minimal_generalization)).
 ///
 /// Heights are processed bottom-up, so under a budget the search is
 /// *anytime*: every node in `minimal` is correct, and the set is complete

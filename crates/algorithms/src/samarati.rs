@@ -7,6 +7,10 @@
 //! that height is a minimal generalization. Algorithm 3 adds, underlined in
 //! the paper: an up-front Condition 1 abort, and a per-node Condition 2 skip
 //! that avoids the detailed scan for nodes with too many QI-groups.
+//!
+//! Monotonicity holds at `ts = 0`, and for plain k-anonymity at any `ts`,
+//! but not for a model with `ts > 0`; see [`pk_minimal_generalization`] for
+//! what the search can then return.
 
 use crate::request::{SearchRequest, Setup};
 use crate::stats::SearchStats;
@@ -42,13 +46,15 @@ pub struct SearchOutcome {
     pub masked: Option<Table>,
     /// Number of tuples suppressed at `node`.
     pub suppressed: usize,
-    /// Tightest proven lower bound on the minimal satisfiable height: every
-    /// height below this is proven to hold no satisfying node (a failed
-    /// probe at height `h` rules out all heights `<= h` by monotonicity).
-    /// On a completed run this equals the found node's height, or
-    /// `lattice.height() + 1` when the instance is unsatisfiable; on an
-    /// interrupted run it is the bound established before the budget
-    /// tripped.
+    /// Tightest lower bound on the minimal satisfiable height the probes
+    /// establish: a failed probe at height `h` rules out all heights `<= h`
+    /// by monotonicity. On a completed run this equals the found node's
+    /// height, or `lattice.height() + 1` when the instance is
+    /// unsatisfiable; on an interrupted run it is the bound established
+    /// before the budget tripped. The bound is a proof only where
+    /// monotonicity holds — at `ts = 0`, or for plain k-anonymity; with
+    /// `ts > 0` a lower height may still hold a satisfying node (see
+    /// [`pk_minimal_generalization`]).
     pub proven_min_height: usize,
     /// Work counters.
     pub stats: SearchStats,
@@ -72,6 +78,19 @@ pub struct SearchOutcome {
 /// best satisfying node proven so far (if any probe succeeded) together with
 /// the tightest height bound proven by the failed probes, labelled by
 /// `termination`.
+///
+/// **Limit: the binary search assumes monotonicity.** It holds at `ts = 0`,
+/// and for plain k-anonymity (`p = 1`) at any `ts`. With `ts > 0` a node
+/// can pass by suppressing undersized groups whose tuples an ancestor
+/// re-admits into a group that fails the model, so a failed probe no longer
+/// rules out lower heights: the returned node may not be minimal, and
+/// `proven_min_height` may overstate the minimal height. Example:
+/// t-closeness (t = 0.1), k = 2, TS = 1 over one Zip attribute generalized
+/// `41076, 41099, 43102 → 41***, 43*** → *****`, with rows 41076: {a, b},
+/// 41099: {a} and 43102: 5×a + 6×b. The search returns ⟨2⟩ with
+/// `proven_min_height` 2, but ⟨0⟩ satisfies by suppressing 41099, and
+/// `levelwise_minimal` and `exhaustive_scan` both report ⟨0⟩ as the minimal
+/// node. psens-k (p = 2) fails the same way.
 ///
 /// With `req.tuning.threads > 1` each probed stratum is chunked across
 /// scoped workers; every worker stops at its chunk's first satisfier, and
@@ -115,7 +134,8 @@ pub fn pk_minimal_generalization<O: SearchObserver>(
     let mut best: Option<(Node, Table, usize)> = None;
 
     // Monotonicity makes "some node at height h satisfies" monotone in h, so
-    // binary search converges on the minimal satisfiable height. Invariant:
+    // binary search converges on the minimal satisfiable height (where it
+    // holds; see the limit in the function docs). Invariant:
     // every height `< low` has been proven infeasible by a failed probe, and
     // `best` (when set) is a satisfying node at height `high`.
     'search: {

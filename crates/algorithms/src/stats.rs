@@ -42,7 +42,7 @@ pub struct SearchStats {
     /// Node verdicts replayed exactly from a shared verdict store. Outside
     /// the stage partition: no kernel check ran and no budget was consumed.
     pub cache_hits: usize,
-    /// Node verdicts served by monotonicity inference from the store.
+    /// Node verdicts served as k-failures inferred by the store.
     pub cache_inferred: usize,
     /// Worker threads the caller requested (`Tuning::threads`, CLI
     /// `--threads`); `0` means "auto" (one per available core).

@@ -25,7 +25,9 @@
 //! and runs in the hermetic (offline) build.
 
 use psens_algorithms::{pk_minimal_generalization, SearchRequest, Tuning};
-use psens_core::{invalidation_for, LiveTable, ModelSpec, NoopObserver, VerdictStore};
+use psens_core::{
+    invalidation_for, Invalidation, LiveTable, ModelSpec, NoopObserver, VerdictStore,
+};
 use psens_datasets::{ScaleGenerator, Spec};
 use psens_microdata::Table;
 use psens_testkit::deltas::delta_script;
@@ -60,7 +62,7 @@ fn bench_size(n: usize) -> SizeReport {
     });
 
     let mut live = LiveTable::new(base.clone(), keys, confs).expect("valid columns");
-    let store = VerdictStore::for_model(&qi.lattice(), TS, MODEL.is_monotone());
+    let mut store = VerdictStore::new(&qi.lattice(), TS);
     // Warm the store with the baseline search, as the daemon's `watch`
     // registration does; the first delta already has verdicts to keep.
     pk_minimal_generalization(
@@ -80,12 +82,21 @@ fn bench_size(n: usize) -> SizeReport {
 
     let mut scratch_table: Table = base.clone();
     let (mut incremental_secs, mut scratch_secs) = (0.0f64, 0.0f64);
-    let mut sum_rows = 0u64;
+    let (mut sum_rows, mut kept, mut invalidated) = (0u64, 0u64, 0u64);
     for (step_ix, step) in steps.iter().enumerate() {
         let started = Instant::now();
         let effect = live.apply(&step.batch).expect("generated batch applies");
         let stats = live.stats();
-        store.invalidate(invalidation_for(&effect, &stats, &MODEL, K as usize));
+        // As the daemon does: a net-zero batch keeps the store as it is.
+        match invalidation_for(&effect, &stats, &MODEL, K as usize) {
+            Invalidation::KeepAll => kept += store.len() as u64,
+            policy => {
+                let (successor, outcome) = store.invalidated_successor(policy);
+                store = successor;
+                kept += outcome.kept;
+                invalidated += outcome.invalidated;
+            }
+        }
         let incremental = pk_minimal_generalization(
             live.table(),
             &qi,
@@ -125,15 +136,14 @@ fn bench_size(n: usize) -> SizeReport {
         sum_rows += live.table().n_rows() as u64;
     }
 
-    let counters = store.counters();
     SizeReport {
         n_rows_start: n,
         n_rows_end: live.table().n_rows(),
         incremental_secs,
         scratch_secs,
         sum_rows,
-        kept: counters.kept,
-        invalidated: counters.invalidated,
+        kept,
+        invalidated,
     }
 }
 

@@ -117,8 +117,8 @@ fn main() {
     }
     // Verdict-cache overhead: the full serial scan with no store versus a
     // fresh (all-miss) store per repetition. Misses pay a shard lookup, a
-    // record, and the monotonicity closure — the ≤2% claim from DESIGN.md
-    // §11. Alternating best-of-rounds, as above.
+    // record, and the k-failure closure — the ≤2% claim from DESIGN.md §11.
+    // Alternating best-of-rounds, as above.
     let lattice = qi.lattice();
     let scan_req = SearchRequest::new(ModelSpec::PSensitiveK { p: P }, K, TS);
     let mut scan_uncached = 0.0f64;

@@ -719,13 +719,9 @@ fn anonymize(args: &Args) -> Result<CmdOutput, String> {
             let qi = spec.qi_space()?;
             let lattice = qi.lattice();
             // One run cannot revisit nodes, but the store still earns its
-            // keep within it: monotonicity closure answers probes above a
-            // pass / below a k-failure without running the kernel. Store
-            // presence is `--no-cache`'s call alone; whether closure runs
-            // is the model's — a non-monotone model gets a closure-free
-            // store, it does not silently lose caching twice over.
-            let store =
-                use_cache.then(|| VerdictStore::for_model(&lattice, ts, spec_model.is_monotone()));
+            // keep within it: a recorded k-failure answers every probe below
+            // it without running the kernel.
+            let store = use_cache.then(|| VerdictStore::new(&lattice, ts));
             let req = SearchRequest {
                 budget: limits.budget.clone(),
                 tuning: Tuning {

@@ -111,8 +111,8 @@ pub enum VerdictSource {
     Fresh,
     /// An exact verdict was replayed from the shared [`VerdictStore`].
     Cached,
-    /// The verdict was derived by monotonicity closure in the store; only
-    /// the satisfaction boolean is known.
+    /// The store inferred a k-failure from a recorded ancestor; only the
+    /// satisfaction boolean is known.
     Inferred,
 }
 
@@ -185,13 +185,8 @@ impl EvalContext {
     /// when the model compares distributions — the whole-table code
     /// distribution of every static confidential attribute is tallied
     /// once here.
-    pub fn with_model(self, spec: ModelSpec) -> EvalContext {
-        self.with_model_object(spec.instantiate())
-    }
-
-    /// [`Self::with_model`] for an arbitrary (possibly non-monotone,
-    /// test-supplied) [`PrivacyModel`] implementation.
-    pub fn with_model_object(mut self, model: Arc<dyn PrivacyModel>) -> EvalContext {
+    pub fn with_model(mut self, spec: ModelSpec) -> EvalContext {
+        let model = spec.instantiate();
         self.p = model.conditions_p();
         let needs_global = matches!(
             model.mode(),
@@ -914,8 +909,8 @@ mod tests {
         let store = VerdictStore::new(&qi.lattice(), 2);
 
         // Warm the store with fresh checks under an unlimited budget.
-        // `allow_inferred = false` so closure-inferred entries (a pass at a
-        // lower node marks its ancestors) are upgraded to exact records.
+        // `allow_inferred = false` so closure-inferred entries (a k-failure
+        // marks its descendants) are upgraded to exact records.
         let unlimited = SearchBudget::unlimited().start();
         for node in qi.lattice().all_nodes() {
             let got = eval
@@ -1001,90 +996,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// A deliberately non-monotone toy model: a group passes iff its
-    /// confidential distinct count is *exactly* 2, so merging groups can
-    /// turn a pass into a failure — neither closure direction is sound.
-    #[derive(Debug)]
-    struct ExactlyTwo;
-
-    impl crate::model::PrivacyModel for ExactlyTwo {
-        fn name(&self) -> &'static str {
-            "exactly-two"
-        }
-        fn is_monotone(&self) -> bool {
-            false
-        }
-        fn conditions_p(&self) -> u32 {
-            1
-        }
-        fn mode(&self) -> crate::model::GroupCheckMode {
-            crate::model::GroupCheckMode::Histogram {
-                needs_global: false,
-            }
-        }
-        fn check_group(
-            &self,
-            counts: &[(u32, u32)],
-            _group_size: u32,
-            _global: Option<&crate::model::CodeDistribution>,
-        ) -> crate::model::GroupVerdict {
-            crate::model::GroupVerdict {
-                passes: counts.len() == 2,
-                metric: counts.len() as u64,
-            }
-        }
-        fn node_detail(&self, min_metric: u64, _max_metric: u64) -> crate::model::ModelDetail {
-            crate::model::ModelDetail::MinDistinct(min_metric as u32)
-        }
-    }
-
-    #[test]
-    fn non_monotone_toy_model_never_gets_inferred_verdicts() {
-        use crate::budget::SearchBudget;
-        use crate::observe::NoopObserver;
-        use crate::verdict::VerdictStore;
-        use std::sync::Arc;
-
-        let t = table();
-        let qi = qi();
-        let ctx = MaskingContext {
-            initial: &t,
-            qi: &qi,
-            k: 2,
-            p: 1,
-            ts: 2,
-        };
-        let stats = ctx.initial_stats();
-        let model: Arc<dyn crate::model::PrivacyModel> = Arc::new(ExactlyTwo);
-        let ectx = EvalContext::build(&ctx)
-            .unwrap()
-            .with_model_object(Arc::clone(&model));
-        let mut eval = ectx.evaluator();
-        let store = VerdictStore::for_model(&qi.lattice(), 2, model.is_monotone());
-
-        // Check every node twice through the caching path, inferred
-        // verdicts welcome: with closure refused, the second pass must be
-        // answered by exact replays only.
-        let budget = SearchBudget::unlimited().start();
-        for _ in 0..2 {
-            for node in qi.lattice().all_nodes() {
-                let got = eval
-                    .check_cached(&node, &stats, &budget, Some(&store), true, &NoopObserver)
-                    .unwrap();
-                let ControlFlow::Continue(cc) = got else {
-                    panic!("unlimited budget never breaks")
-                };
-                assert_ne!(cc.source, VerdictSource::Inferred, "{node}");
-            }
-        }
-        let counters = store.counters();
-        assert_eq!(counters.recorded_inferred, 0, "closure must never run");
-        assert_eq!(counters.inferred_hits, 0);
-        assert_eq!(counters.recorded_exact as usize, qi.lattice().node_count());
-        assert_eq!(counters.hits as usize, qi.lattice().node_count());
-        assert_eq!(store.len(), qi.lattice().node_count());
     }
 
     #[test]

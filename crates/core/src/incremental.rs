@@ -204,7 +204,7 @@ pub fn invalidation_for<'a>(
         return Invalidation::KeepAll;
     }
     let distinct_mode = matches!(spec.instantiate().mode(), GroupCheckMode::Distinct { .. });
-    if effect.sterile_for(k) && distinct_mode && spec.is_monotone() {
+    if effect.sterile_for(k) && distinct_mode {
         return Invalidation::Conditions {
             stats,
             p: spec.conditions_p(),

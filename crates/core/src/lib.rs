@@ -29,7 +29,7 @@
 //! | [`disclosure`] | identity/attribute disclosure counts (Table 8) |
 //! | [`attack`] | the record-linkage / homogeneity attack (Tables 1–2) |
 //! | [`extended`] | extended p-sensitivity over confidential hierarchies (follow-up model) |
-//! | [`verdict`] | shared verdict store with monotonicity closure (Samarati's Algorithm 3 invariant) |
+//! | [`verdict`] | shared verdict store; a k-failure condemns every descendant, for every model |
 //! | [`model`] | pluggable privacy models (p-sensitivity, l-diversity, t-closeness) behind one trait |
 //!
 //! ## Example
@@ -109,4 +109,4 @@ pub use suppress::{
     locally_suppress_to_k, suppress_to_k, suppress_within_threshold, LocalSuppressionResult,
     SuppressionResult,
 };
-pub use verdict::{Invalidation, InvalidationOutcome, StoreCounters, Verdict, VerdictStore};
+pub use verdict::{Invalidation, InvalidationOutcome, Verdict, VerdictStore};

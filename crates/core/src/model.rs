@@ -17,12 +17,9 @@
 //!
 //! ## Monotonicity
 //!
-//! [`crate::verdict::VerdictStore`] infers verdicts by closure along the
-//! generalization lattice: a pass closes ancestors, a
-//! beyond-threshold k-failure closes descendants. Both inferences assume
-//! the model is **monotone** — generalizing can only merge QI-groups, and
-//! merging groups must never turn a passing table into a failing one. All
-//! four shipped models are monotone:
+//! Without suppression every shipped model is monotone along the
+//! generalization lattice: generalizing only merges QI-groups, and merging
+//! passing groups never yields a failing one —
 //!
 //! - distinct counts only grow when groups merge (p-sensitivity,
 //!   distinct l-diversity);
@@ -32,9 +29,15 @@
 //!   variation distance, which is convex: the distance of a merged group
 //!   is at most the maximum component distance (t-closeness).
 //!
-//! A model that is *not* monotone must say so via
-//! [`PrivacyModel::is_monotone`]; the store then refuses closure in both
-//! directions (see `VerdictStore::for_model`) and every verdict is exact.
+//! With a suppression threshold `ts > 0` none of them is monotone. A node
+//! may pass by suppressing its undersized groups, while an ancestor
+//! re-admits those tuples into groups of `k` or more that fail the model:
+//! the re-admitted tuples may share one confidential value, or lower a
+//! group's entropy, or raise its EMD. [`crate::verdict::VerdictStore`]
+//! therefore infers nothing from a pass, only k-failures, which hold for
+//! every model. Samarati's binary search still assumes monotonicity, so
+//! with `ts > 0` its answer may not be minimal (see
+//! `psens_algorithms::pk_minimal_generalization`).
 
 use psens_microdata::{GroupBy, Table};
 use serde::Serialize;
@@ -153,11 +156,12 @@ impl ModelSpec {
         }
     }
 
-    /// Whether the model is monotone along the generalization lattice (see
-    /// the module docs). All shipped specs are; the accessor exists so
-    /// callers configure verdict stores from the spec, not from a habit.
+    /// Returns `true` and claims nothing about the model (see the module
+    /// docs on monotonicity). Kept only because the benchmark crate passes
+    /// it to `VerdictStore::for_model`, which ignores it.
+    #[doc(hidden)]
     pub fn is_monotone(&self) -> bool {
-        self.instantiate().is_monotone()
+        true
     }
 
     /// Builds the runtime checker for this spec.
@@ -293,12 +297,6 @@ pub trait PrivacyModel: fmt::Debug + Send + Sync {
     /// models).
     fn name(&self) -> &'static str;
 
-    /// Whether the model is monotone along the generalization lattice.
-    /// Non-monotone models make [`crate::verdict::VerdictStore`] closure
-    /// unsound; build their stores with `VerdictStore::for_model(..,
-    /// false)` so every verdict stays exact.
-    fn is_monotone(&self) -> bool;
-
     /// The `p` to feed Conditions 1–2 as a necessary condition (see
     /// [`ModelSpec::conditions_p`]).
     fn conditions_p(&self) -> u32;
@@ -334,10 +332,6 @@ pub struct PSensitiveK {
 impl PrivacyModel for PSensitiveK {
     fn name(&self) -> &'static str {
         "psens-k"
-    }
-
-    fn is_monotone(&self) -> bool {
-        true
     }
 
     fn conditions_p(&self) -> u32 {
@@ -380,10 +374,6 @@ impl PrivacyModel for DistinctLDiversity {
         "distinct-l"
     }
 
-    fn is_monotone(&self) -> bool {
-        true
-    }
-
     fn conditions_p(&self) -> u32 {
         self.l
     }
@@ -411,8 +401,11 @@ impl PrivacyModel for DistinctLDiversity {
 }
 
 /// Entropy l-diversity: every group's confidential entropy is at least
-/// `ln l`. Monotone because Shannon entropy is concave: a merged group's
-/// distribution is a mixture, and `H(Σ wᵢ Pᵢ) >= Σ wᵢ H(Pᵢ) >= min H(Pᵢ)`.
+/// `ln l`. Merging groups never lowers the minimum entropy, because Shannon
+/// entropy is concave: a merged group's distribution is a mixture, and
+/// `H(Σ wᵢ Pᵢ) >= Σ wᵢ H(Pᵢ) >= min H(Pᵢ)`. With `ts > 0` the model is
+/// still not monotone: an ancestor re-admits suppressed tuples (see the
+/// module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EntropyLDiversity {
     /// Entropy threshold, as `ln l`.
@@ -440,10 +433,6 @@ impl EntropyLDiversity {
 impl PrivacyModel for EntropyLDiversity {
     fn name(&self) -> &'static str {
         "entropy-l"
-    }
-
-    fn is_monotone(&self) -> bool {
-        true
     }
 
     fn conditions_p(&self) -> u32 {
@@ -478,9 +467,11 @@ impl PrivacyModel for EntropyLDiversity {
 /// t-closeness with the equal-distance ground metric, where EMD degenerates
 /// to half the L1 distance between the group's and the table's
 /// confidential distributions (the flat-hierarchy case of Soria-Comas et
-/// al.'s microaggregation t-closeness). Monotone because total variation
-/// distance is jointly convex: a merged group's distance to the table
-/// distribution is at most the maximum of its parts'.
+/// al.'s microaggregation t-closeness). Merging groups never raises the
+/// maximum distance, because total variation distance is jointly convex: a
+/// merged group's distance to the table distribution is at most the
+/// maximum of its parts'. With `ts > 0` the model is still not monotone:
+/// an ancestor re-admits suppressed tuples (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TCloseness {
     /// The threshold `t` in parts-per-million.
@@ -509,10 +500,6 @@ impl TCloseness {
 impl PrivacyModel for TCloseness {
     fn name(&self) -> &'static str {
         "t-closeness"
-    }
-
-    fn is_monotone(&self) -> bool {
-        true
     }
 
     fn conditions_p(&self) -> u32 {
@@ -780,13 +767,5 @@ mod tests {
         assert_eq!(ModelSpec::EntropyL { l: 3 }.conditions_p(), 3);
         // No distinct-count bound follows from t-closeness.
         assert_eq!(ModelSpec::TCloseness { t_ppm: 1 }.conditions_p(), 1);
-        for spec in [
-            ModelSpec::PSensitiveK { p: 2 },
-            ModelSpec::DistinctL { l: 2 },
-            ModelSpec::EntropyL { l: 2 },
-            ModelSpec::TCloseness { t_ppm: 100_000 },
-        ] {
-            assert!(spec.is_monotone(), "{} is monotone", spec.name());
-        }
     }
 }

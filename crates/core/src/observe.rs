@@ -85,8 +85,8 @@ pub trait SearchObserver: Sync {
 
     /// A node's verdict was served from the shared
     /// [`crate::verdict::VerdictStore`] instead of a fresh kernel check: an
-    /// exact replay (`inferred == false`) or a verdict derived by
-    /// monotonicity closure (`inferred == true`). Reused verdicts never fire
+    /// exact replay (`inferred == false`) or a k-failure inferred from a
+    /// recorded ancestor (`inferred == true`). Reused verdicts never fire
     /// [`Self::node_checked`] and never consume node budget.
     fn verdict_reused(&self, height: usize, inferred: bool) {
         let _ = (height, inferred);
@@ -286,7 +286,7 @@ pub struct Telemetry {
     /// Node verdicts replayed exactly from the shared verdict store (these
     /// are *not* in [`Self::nodes_checked`] — no kernel check ran).
     pub cache_hits: u64,
-    /// Node verdicts served by monotonicity inference from the store.
+    /// Node verdicts served as k-failures inferred by the store.
     pub cache_inferred: u64,
     /// Full generalized tables materialized.
     pub tables_materialized: u64,

@@ -1,28 +1,27 @@
-//! A shared, concurrent verdict store with monotonicity closure.
+//! A shared, concurrent verdict store with k-failure closure.
 //!
-//! Samarati's binary search (paper Algorithm 3) is justified by the
-//! monotonicity of p-sensitive k-anonymity along generalization paths: a
-//! node that satisfies the property implies every ancestor does, and a node
-//! whose `violating_tuples` exceeds the suppression threshold condemns every
-//! descendant (Theorems 1–2 plus the anti-monotonicity of the k-anonymity
-//! violation count). Yet each search strategy re-derives every verdict from
-//! scratch, and nothing is shared across heights, across strategies, or
-//! across worker threads.
+//! Each search strategy checks lattice nodes one by one; without a store
+//! nothing would be shared across Samarati's probe heights, across
+//! strategies, or across worker threads. [`VerdictStore`] is a sharded map
+//! from lattice [`Node`] to [`Verdict`] that any number of threads may read
+//! and write concurrently.
 //!
-//! [`VerdictStore`] closes that gap: a sharded map from lattice [`Node`] to
-//! [`Verdict`] that any number of threads may read and write concurrently.
-//! Recording an exact check also records what monotonicity proves for free:
+//! Recording an exact check also records the one inference that holds for
+//! every privacy model: a check whose `violating_tuples` exceeds the
+//! suppression threshold marks every strict descendant
+//! [`Verdict::InferredFailK`]. A descendant refines the node's QI-groups,
+//! and a group of fewer than `k` tuples only splits into groups of fewer
+//! than `k`, so the descendant has at least as many violating tuples and
+//! fails k-anonymity whatever the model says about its groups.
 //!
-//! * a **pass** marks every strict ancestor [`Verdict::InferredPass`];
-//! * a **k-anonymity failure** (`violating_tuples > ts`) marks every strict
-//!   descendant [`Verdict::InferredFailK`].
+//! A pass proves nothing about ancestors. An ancestor merges groups, but it
+//! also re-admits tuples the node suppressed as undersized, and with
+//! `ts > 0` those tuples can form or join groups that fail the model: a
+//! merged group of suppressed tuples may hold one distinct value, or a
+//! lower entropy, or a larger EMD (see DESIGN.md §11). Failures with
+//! `violating_tuples <= ts` condemn nothing either.
 //!
-//! Failures of Condition 2 or the detailed sensitivity scan get *no*
-//! closure: `maxGroups` bounds and per-group distinct counts are not
-//! monotone certificates for neighbours, only the pass side is (see
-//! DESIGN.md §11 for the proof sketch).
-//!
-//! A store is only meaningful for one `(table, QI space, p, k, ts)`
+//! A store is only meaningful for one `(table, QI space, model, k, ts)`
 //! configuration; callers must not share a store across configurations.
 //! Inferred verdicts are served without consuming node budget — budget
 //! admission happens strictly after a cache miss (see
@@ -33,8 +32,6 @@ use crate::conditions::ConfidentialStats;
 use crate::evaluator::NodeCheck;
 use psens_hierarchy::{Lattice, Node};
 use psens_microdata::hash::FxHashMap;
-use std::collections::hash_map::Entry;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Number of independently locked shards. Sixteen keeps lock contention
@@ -48,9 +45,6 @@ pub enum Verdict {
     /// The node was checked by the kernel; the full [`NodeCheck`] is kept so
     /// a hit can replay everything a fresh evaluation would have returned.
     Exact(NodeCheck),
-    /// Satisfaction inferred upward from a recorded pass at a strict
-    /// descendant. No [`NodeCheck`] exists — only the boolean is known.
-    InferredPass,
     /// Failure inferred downward from a strict ancestor whose
     /// `violating_tuples` exceeded the suppression threshold.
     InferredFailK,
@@ -61,71 +55,30 @@ impl Verdict {
     pub fn satisfied(&self) -> bool {
         match self {
             Verdict::Exact(check) => check.satisfied,
-            Verdict::InferredPass => true,
             Verdict::InferredFailK => false,
         }
     }
 
-    /// True for the inference-derived variants.
+    /// True for the inference-derived variant.
     pub fn is_inferred(&self) -> bool {
-        !matches!(self, Verdict::Exact(_))
+        matches!(self, Verdict::InferredFailK)
     }
 }
 
-/// Monotonic counters describing a store's traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StoreCounters {
-    /// Lookups answered by an exact cached check.
-    pub hits: u64,
-    /// Lookups answered by a closure-inferred verdict.
-    pub inferred_hits: u64,
-    /// Lookups that found nothing usable (including inferred entries the
-    /// caller declined with `allow_inferred = false`).
-    pub misses: u64,
-    /// Exact verdicts recorded (first insert or inferred→exact upgrade).
-    pub recorded_exact: u64,
-    /// Inferred verdicts recorded by monotonicity closure.
-    pub recorded_inferred: u64,
-    /// Verdicts retained across [`VerdictStore::invalidate`] calls because
-    /// the delta provably could not flip them.
-    pub kept: u64,
-    /// Verdicts dropped by [`VerdictStore::invalidate`] calls.
-    pub invalidated: u64,
-}
-
-impl StoreCounters {
-    /// Total lookups served; every lookup increments exactly one of
-    /// `hits`, `inferred_hits`, or `misses`.
-    pub fn lookups(&self) -> u64 {
-        self.hits + self.inferred_hits + self.misses
-    }
-}
-
-/// Sharded concurrent map from lattice node to verdict, with monotonicity
+/// Sharded concurrent map from lattice node to verdict, with k-failure
 /// closure on every recorded exact check. See the module docs for the
 /// soundness argument and the single-configuration caveat.
 #[derive(Debug)]
 pub struct VerdictStore {
     max_levels: Vec<u8>,
     ts: usize,
-    /// Whether monotonicity closure runs on recorded checks. `false` for
-    /// non-monotone privacy models, where neither an ancestor pass nor a
-    /// descendant k-failure is a sound inference — such stores hold exact
-    /// verdicts only.
-    closure: bool,
     shards: Vec<Mutex<FxHashMap<Node, Verdict>>>,
-    hits: AtomicU64,
-    inferred_hits: AtomicU64,
-    misses: AtomicU64,
-    recorded_exact: AtomicU64,
-    recorded_inferred: AtomicU64,
-    kept: AtomicU64,
-    invalidated: AtomicU64,
 }
 
 /// How a delta batch invalidates a store's cached verdicts. Produced by the
 /// incremental layer's classifier (`psens-core::incremental`) from what the
-/// batch actually changed, consumed by [`VerdictStore::invalidate`].
+/// batch actually changed, consumed by
+/// [`VerdictStore::invalidated_successor`].
 #[derive(Debug, Clone, Copy)]
 pub enum Invalidation<'a> {
     /// The batch is net-zero on the row multiset: every `NodeCheck` field is
@@ -149,7 +102,7 @@ pub enum Invalidation<'a> {
     },
 }
 
-/// What an [`VerdictStore::invalidate`] call did.
+/// What a [`VerdictStore::invalidated_successor`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct InvalidationOutcome {
     /// Entries retained because the delta provably cannot flip them.
@@ -163,37 +116,20 @@ impl VerdictStore {
     /// `ts`. The threshold is captured here so [`record`](Self::record) can
     /// decide descendant condemnation without the caller restating it.
     pub fn new(lattice: &Lattice, ts: usize) -> Self {
-        Self::for_model(lattice, ts, true)
-    }
-
-    /// [`Self::new`] with an explicit monotonicity declaration. Stores for
-    /// non-monotone models (`monotone = false`) refuse closure in *both*
-    /// directions: [`record`](Self::record) never writes
-    /// [`Verdict::InferredPass`] or [`Verdict::InferredFailK`], so the
-    /// inferred counters of such a store stay 0 forever and every lookup
-    /// answer is an exact replay. `for_model(lattice, ts, true)` is
-    /// bit-for-bit [`Self::new`].
-    pub fn for_model(lattice: &Lattice, ts: usize, monotone: bool) -> Self {
         VerdictStore {
             max_levels: lattice.max_levels().to_vec(),
             ts,
-            closure: monotone,
             shards: (0..N_SHARDS)
                 .map(|_| Mutex::new(FxHashMap::default()))
                 .collect(),
-            hits: AtomicU64::new(0),
-            inferred_hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            recorded_exact: AtomicU64::new(0),
-            recorded_inferred: AtomicU64::new(0),
-            kept: AtomicU64::new(0),
-            invalidated: AtomicU64::new(0),
         }
     }
 
-    /// The suppression threshold this store was built for.
-    pub fn ts(&self) -> usize {
-        self.ts
+    /// [`Self::new`]; `monotone` has no effect. Kept only because the
+    /// benchmark crate calls it.
+    #[doc(hidden)]
+    pub fn for_model(lattice: &Lattice, ts: usize, _monotone: bool) -> Self {
+        Self::new(lattice, ts)
     }
 
     fn shard_of(&self, node: &Node) -> &Mutex<FxHashMap<Node, Verdict>> {
@@ -203,10 +139,9 @@ impl VerdictStore {
         &self.shards[ix % N_SHARDS]
     }
 
-    /// Looks up `node`, counting the outcome. With `allow_inferred = false`
-    /// an inferred entry is treated as (and counted as) a miss — callers
-    /// that need `violating_tuples` (e.g. the exhaustive scan's annotations)
-    /// can only use exact entries.
+    /// Looks up `node`. With `allow_inferred = false` an inferred entry is
+    /// treated as a miss — callers that need `violating_tuples` (e.g. the
+    /// exhaustive scan's annotations) can only use exact entries.
     pub fn lookup(&self, node: &Node, allow_inferred: bool) -> Option<Verdict> {
         let found = self
             .shard_of(node)
@@ -214,43 +149,18 @@ impl VerdictStore {
             .expect("verdict shard lock poisoned")
             .get(node)
             .cloned();
-        match found {
-            Some(Verdict::Exact(check)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Verdict::Exact(check))
-            }
-            Some(verdict) if allow_inferred => {
-                self.inferred_hits.fetch_add(1, Ordering::Relaxed);
-                Some(verdict)
-            }
-            _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        found.filter(|verdict| allow_inferred || !verdict.is_inferred())
     }
 
-    /// Looks up `node` without touching the traffic counters. Intended for
-    /// tests and diagnostics.
-    pub fn peek(&self, node: &Node) -> Option<Verdict> {
-        self.shard_of(node)
-            .lock()
-            .expect("verdict shard lock poisoned")
-            .get(node)
-            .cloned()
-    }
-
-    /// Records an exact check and closes it under monotonicity:
+    /// Records an exact check and closes it over descendants:
     ///
     /// * the node itself gets [`Verdict::Exact`] (an inferred entry is
     ///   upgraded; an existing exact entry is left alone — checks are
     ///   deterministic, so both writers hold the same value);
-    /// * a pass marks every strict ancestor [`Verdict::InferredPass`];
     /// * `violating_tuples > ts` marks every strict descendant
     ///   [`Verdict::InferredFailK`], regardless of the stage that settled
-    ///   the check (the count alone is the certificate).
-    ///
-    /// Inferred closure entries never overwrite anything already present.
+    ///   the check (the count alone is the certificate). These entries never
+    ///   overwrite anything already present.
     pub fn record(&self, check: &NodeCheck) {
         debug_assert!(
             check.node.levels().len() == self.max_levels.len()
@@ -263,91 +173,52 @@ impl VerdictStore {
             "node {} outside the store's lattice",
             check.node
         );
-        let inserted = {
+        {
             let mut shard = self
                 .shard_of(&check.node)
                 .lock()
                 .expect("verdict shard lock poisoned");
-            match shard.entry(check.node.clone()) {
-                Entry::Vacant(slot) => {
-                    slot.insert(Verdict::Exact(check.clone()));
-                    true
-                }
-                Entry::Occupied(mut slot) => {
-                    if slot.get().is_inferred() {
-                        slot.insert(Verdict::Exact(check.clone()));
-                        true
-                    } else {
-                        false
-                    }
-                }
+            if !matches!(shard.get(&check.node), Some(Verdict::Exact(_))) {
+                shard.insert(check.node.clone(), Verdict::Exact(check.clone()));
             }
-        };
-        if inserted {
-            self.recorded_exact.fetch_add(1, Ordering::Relaxed);
-        }
-        if !self.closure {
-            return; // non-monotone model: no inference is sound
-        }
-        if check.satisfied {
-            self.close_over_box(check.node.levels(), Closure::AncestorsPass);
         }
         if check.violating_tuples > self.ts {
-            self.close_over_box(check.node.levels(), Closure::DescendantsFailK);
+            self.condemn_descendants(check.node.levels());
         }
     }
 
-    /// Inserts `verdict` for `node` only if nothing is recorded yet.
-    fn insert_inferred(&self, node: Node, verdict: Verdict) {
-        let mut shard = self
-            .shard_of(&node)
-            .lock()
-            .expect("verdict shard lock poisoned");
-        if let Entry::Vacant(slot) = shard.entry(node) {
-            slot.insert(verdict);
-            drop(shard);
-            self.recorded_inferred.fetch_add(1, Ordering::Relaxed);
+    /// Marks every strict descendant of `pivot` (levels in `0..=pivot[i]`)
+    /// [`Verdict::InferredFailK`] where nothing is recorded yet. An
+    /// odometer walks the box, least-significant axis first; the pivot is
+    /// its last corner, so the walk stops there.
+    fn condemn_descendants(&self, pivot: &[u8]) {
+        let mut cur = vec![0u8; pivot.len()];
+        while cur.as_slice() != pivot {
+            let node = Node(cur.clone());
+            self.shard_of(&node)
+                .lock()
+                .expect("verdict shard lock poisoned")
+                .entry(node)
+                .or_insert(Verdict::InferredFailK);
+            let axis = cur
+                .iter()
+                .zip(pivot)
+                .position(|(c, p)| c < p)
+                .expect("a corner short of the pivot has an axis to advance");
+            cur[axis] += 1;
+            cur[..axis].fill(0);
         }
     }
 
-    /// Walks the axis-aligned box of strict ancestors (levels in
-    /// `pivot[i]..=max[i]`) or strict descendants (levels in
-    /// `0..=pivot[i]`) of `pivot` with an odometer, skipping the pivot
-    /// itself, and inserts the inferred verdict at each corner.
-    fn close_over_box(&self, pivot: &[u8], closure: Closure) {
-        let (lo, hi, verdict): (Vec<u8>, Vec<u8>, Verdict) = match closure {
-            Closure::AncestorsPass => (
-                pivot.to_vec(),
-                self.max_levels.clone(),
-                Verdict::InferredPass,
-            ),
-            Closure::DescendantsFailK => {
-                (vec![0; pivot.len()], pivot.to_vec(), Verdict::InferredFailK)
-            }
-        };
-        let mut cur = lo.clone();
-        loop {
-            if cur.as_slice() != pivot {
-                self.insert_inferred(Node(cur.clone()), verdict.clone());
-            }
-            // Odometer increment over the box, least-significant axis first.
-            let mut axis = 0;
-            loop {
-                if axis == cur.len() {
-                    return;
-                }
-                if cur[axis] < hi[axis] {
-                    cur[axis] += 1;
-                    cur[..axis].copy_from_slice(&lo[..axis]);
-                    break;
-                }
-                axis += 1;
-            }
-        }
-    }
-
-    /// Applies an invalidation policy after a delta batch, dropping every
-    /// verdict the policy cannot prove stable and counting both sides.
+    /// Builds a detached successor store holding exactly the entries that
+    /// survive `policy`, leaving `self` untouched, and counts both sides.
+    /// The successor inherits the lattice bounds and suppression threshold.
+    ///
+    /// The server replaces the pooled `Arc` with the successor *under the
+    /// dataset's write lock*, so an in-flight search that acquired the old
+    /// store against the pre-delta table keeps recording into the detached
+    /// instance — its stale verdicts die with that `Arc` instead of
+    /// poisoning post-delta lookups.
     ///
     /// Soundness rests on the policy's precondition, not on anything checked
     /// here — the incremental layer only emits [`Invalidation::Conditions`]
@@ -358,8 +229,6 @@ impl VerdictStore {
     ///
     /// * [`Verdict::InferredFailK`] is kept: the ancestor's
     ///   `violating_tuples > ts` certificate is partition-derived.
-    /// * [`Verdict::InferredPass`] is dropped: its witness descendant may
-    ///   itself have flipped on Conditions 1/2.
     /// * [`Verdict::Exact`] entries are re-judged per stage: a Condition-1
     ///   failure stands iff the new statistics still refuse `p`; a
     ///   Condition-2 failure stands iff Condition 1 passes and the recorded
@@ -367,94 +236,39 @@ impl VerdictStore {
     ///   (whose scan outcome is partition-derived) stands iff both
     ///   conditions still admit it. Entries carrying a histogram `detail`
     ///   are always dropped — their metrics quote frequencies, which moved.
-    pub fn invalidate(&self, policy: Invalidation<'_>) -> InvalidationOutcome {
-        let mut outcome = InvalidationOutcome::default();
-        match policy {
-            Invalidation::KeepAll => {
-                outcome.kept = self.len() as u64;
-            }
-            Invalidation::DropAll => {
-                for shard in &self.shards {
-                    let mut map = shard.lock().expect("verdict shard lock poisoned");
-                    outcome.invalidated += map.len() as u64;
-                    map.clear();
-                }
-            }
-            Invalidation::Conditions { stats, p } => {
-                for shard in &self.shards {
-                    let mut map = shard.lock().expect("verdict shard lock poisoned");
-                    let before = map.len() as u64;
-                    map.retain(|_, verdict| survives_conditions(verdict, stats, p));
-                    outcome.kept += map.len() as u64;
-                    outcome.invalidated += before - map.len() as u64;
-                }
-            }
-        }
-        self.kept.fetch_add(outcome.kept, Ordering::Relaxed);
-        self.invalidated
-            .fetch_add(outcome.invalidated, Ordering::Relaxed);
-        outcome
-    }
-
-    /// Builds a detached successor store holding exactly the entries that
-    /// survive `policy`, leaving `self` untouched. The successor inherits
-    /// the lattice bounds, suppression threshold, and closure mode, and
-    /// starts from `self`'s cumulative counters (advanced by this call's
-    /// kept/invalidated tallies) so pool statistics survive a swap.
-    ///
-    /// This is the swap half of delta invalidation: the server replaces the
-    /// pooled `Arc` with the successor *under the dataset's write lock*, so
-    /// an in-flight search that acquired the old store against the
-    /// pre-delta table keeps recording into the detached instance — its
-    /// stale verdicts die with that `Arc` instead of poisoning post-delta
-    /// lookups. Entries keep their shard (the shard function depends only
-    /// on the node), so successor and in-place [`invalidate`](Self::invalidate)
-    /// agree entry-for-entry.
     pub fn invalidated_successor(
         &self,
         policy: Invalidation<'_>,
     ) -> (VerdictStore, InvalidationOutcome) {
-        let prior = self.counters();
+        let mut outcome = InvalidationOutcome::default();
+        // Entries keep their shard: the shard function depends only on the
+        // node.
+        let shards = self
+            .shards
+            .iter()
+            .map(|shard| {
+                let map = shard.lock().expect("verdict shard lock poisoned");
+                let survivors: FxHashMap<Node, Verdict> = map
+                    .iter()
+                    .filter(|(_, verdict)| match policy {
+                        Invalidation::KeepAll => true,
+                        Invalidation::DropAll => false,
+                        Invalidation::Conditions { stats, p } => {
+                            survives_conditions(verdict, stats, p)
+                        }
+                    })
+                    .map(|(node, verdict)| (node.clone(), verdict.clone()))
+                    .collect();
+                outcome.kept += survivors.len() as u64;
+                outcome.invalidated += (map.len() - survivors.len()) as u64;
+                Mutex::new(survivors)
+            })
+            .collect();
         let successor = VerdictStore {
             max_levels: self.max_levels.clone(),
             ts: self.ts,
-            closure: self.closure,
-            shards: (0..N_SHARDS)
-                .map(|_| Mutex::new(FxHashMap::default()))
-                .collect(),
-            hits: AtomicU64::new(prior.hits),
-            inferred_hits: AtomicU64::new(prior.inferred_hits),
-            misses: AtomicU64::new(prior.misses),
-            recorded_exact: AtomicU64::new(prior.recorded_exact),
-            recorded_inferred: AtomicU64::new(prior.recorded_inferred),
-            kept: AtomicU64::new(prior.kept),
-            invalidated: AtomicU64::new(prior.invalidated),
+            shards,
         };
-        let mut outcome = InvalidationOutcome::default();
-        for (ix, shard) in self.shards.iter().enumerate() {
-            let map = shard.lock().expect("verdict shard lock poisoned");
-            let mut survivors = FxHashMap::default();
-            for (node, verdict) in map.iter() {
-                let keep = match policy {
-                    Invalidation::KeepAll => true,
-                    Invalidation::DropAll => false,
-                    Invalidation::Conditions { stats, p } => survives_conditions(verdict, stats, p),
-                };
-                if keep {
-                    survivors.insert(node.clone(), verdict.clone());
-                } else {
-                    outcome.invalidated += 1;
-                }
-            }
-            outcome.kept += survivors.len() as u64;
-            *successor.shards[ix]
-                .lock()
-                .expect("verdict shard lock poisoned") = survivors;
-        }
-        successor.kept.fetch_add(outcome.kept, Ordering::Relaxed);
-        successor
-            .invalidated
-            .fetch_add(outcome.invalidated, Ordering::Relaxed);
         (successor, outcome)
     }
 
@@ -473,28 +287,15 @@ impl VerdictStore {
         out
     }
 
-    /// Inserts a raw entry without closure or counter side effects. Test
-    /// support for reconstructing a store from [`Self::snapshot_entries`];
-    /// not part of the serving path.
+    /// Inserts a raw entry without closure. Test support for reconstructing
+    /// a store from [`Self::snapshot_entries`]; not part of the serving
+    /// path.
     #[doc(hidden)]
     pub fn insert_raw(&self, node: Node, verdict: Verdict) {
         self.shard_of(&node)
             .lock()
             .expect("verdict shard lock poisoned")
             .insert(node, verdict);
-    }
-
-    /// Snapshot of the traffic and recording counters.
-    pub fn counters(&self) -> StoreCounters {
-        StoreCounters {
-            hits: self.hits.load(Ordering::Relaxed),
-            inferred_hits: self.inferred_hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            recorded_exact: self.recorded_exact.load(Ordering::Relaxed),
-            recorded_inferred: self.recorded_inferred.load(Ordering::Relaxed),
-            kept: self.kept.load(Ordering::Relaxed),
-            invalidated: self.invalidated.load(Ordering::Relaxed),
-        }
     }
 
     /// Number of nodes with a recorded verdict (exact or inferred).
@@ -521,7 +322,7 @@ impl VerdictStore {
                 let exact_extra = match verdict {
                     // The check clones the node again; count its levels too.
                     Verdict::Exact(_) => levels,
-                    _ => 0,
+                    Verdict::InferredFailK => 0,
                 };
                 total += (slot + levels + exact_extra) as u64;
             }
@@ -532,7 +333,7 @@ impl VerdictStore {
     /// Every exact verdict in the store, sorted by node levels so the export
     /// is deterministic (two exports of equally-filled stores are
     /// byte-identical once serialized). Inferred entries are omitted: the
-    /// monotonicity closure re-derives them for free when the exact checks
+    /// k-failure closure re-derives them for free when the exact checks
     /// are replayed through [`record`](Self::record).
     pub fn export_exact(&self) -> Vec<NodeCheck> {
         let mut out = Vec::new();
@@ -554,19 +355,11 @@ impl VerdictStore {
     }
 }
 
-/// Which side of the monotonicity closure to materialize.
-#[derive(Debug, Clone, Copy)]
-enum Closure {
-    AncestorsPass,
-    DescendantsFailK,
-}
-
 /// The per-entry keep rule of [`Invalidation::Conditions`]. See
-/// [`VerdictStore::invalidate`] for the stage-by-stage argument.
+/// [`VerdictStore::invalidated_successor`] for the stage-by-stage argument.
 fn survives_conditions(verdict: &Verdict, stats: &ConfidentialStats, p: u32) -> bool {
     let check = match verdict {
         Verdict::InferredFailK => return true,
-        Verdict::InferredPass => return false,
         Verdict::Exact(check) => check,
     };
     if check.detail.is_some() {
@@ -610,31 +403,34 @@ mod tests {
         }
     }
 
+    fn get(store: &VerdictStore, levels: &[u8]) -> Option<Verdict> {
+        store.lookup(&Node(levels.to_vec()), true)
+    }
+
     #[test]
-    fn a_pass_closes_upward_only() {
+    fn a_pass_closes_nothing() {
         let store = VerdictStore::new(&figure2(), 0);
         store.record(&check(&[1, 1], true, 0));
         assert_eq!(
-            store.peek(&Node(vec![1, 1])),
+            get(&store, &[1, 1]),
             Some(Verdict::Exact(check(&[1, 1], true, 0)))
         );
-        assert_eq!(store.peek(&Node(vec![1, 2])), Some(Verdict::InferredPass));
-        // Descendants and incomparable nodes stay unknown.
-        for levels in [[0u8, 0], [1, 0], [0, 1], [0, 2]] {
-            assert_eq!(store.peek(&Node(levels.to_vec())), None, "{levels:?}");
+        // Ancestors, descendants and incomparable nodes stay unknown.
+        for levels in [[1u8, 2], [0, 0], [1, 0], [0, 1], [0, 2]] {
+            assert_eq!(get(&store, &levels), None, "{levels:?}");
         }
-        assert_eq!(store.len(), 2);
+        assert_eq!(store.len(), 1);
     }
 
     #[test]
     fn a_k_failure_closes_downward_only() {
         let store = VerdictStore::new(&figure2(), 3);
         store.record(&check(&[1, 1], false, 4)); // violating 4 > ts 3
-        assert_eq!(store.peek(&Node(vec![0, 0])), Some(Verdict::InferredFailK));
-        assert_eq!(store.peek(&Node(vec![1, 0])), Some(Verdict::InferredFailK));
-        assert_eq!(store.peek(&Node(vec![0, 1])), Some(Verdict::InferredFailK));
-        assert_eq!(store.peek(&Node(vec![1, 2])), None);
-        assert_eq!(store.peek(&Node(vec![0, 2])), None);
+        assert_eq!(get(&store, &[0, 0]), Some(Verdict::InferredFailK));
+        assert_eq!(get(&store, &[1, 0]), Some(Verdict::InferredFailK));
+        assert_eq!(get(&store, &[0, 1]), Some(Verdict::InferredFailK));
+        assert_eq!(get(&store, &[1, 2]), None);
+        assert_eq!(get(&store, &[0, 2]), None);
     }
 
     #[test]
@@ -653,49 +449,46 @@ mod tests {
     #[test]
     fn exact_upgrades_inferred_but_never_the_reverse() {
         let store = VerdictStore::new(&figure2(), 0);
-        store.record(&check(&[1, 1], true, 0)); // infers <1,2> pass
-        assert_eq!(store.peek(&Node(vec![1, 2])), Some(Verdict::InferredPass));
-        // A fresh exact check of <1,2> replaces the inferred entry.
-        store.record(&check(&[1, 2], true, 0));
+        store.record(&check(&[1, 1], false, 1)); // infers <0,1> FailK
+        assert_eq!(get(&store, &[0, 1]), Some(Verdict::InferredFailK));
+        // A fresh exact check of <0,1> replaces the inferred entry.
+        store.record(&check(&[0, 1], false, 2));
         assert_eq!(
-            store.peek(&Node(vec![1, 2])),
-            Some(Verdict::Exact(check(&[1, 2], true, 0)))
+            get(&store, &[0, 1]),
+            Some(Verdict::Exact(check(&[0, 1], false, 2)))
         );
-        // Re-recording the pass at <1,1> must not demote it back.
-        store.record(&check(&[1, 1], true, 0));
+        // Re-recording the failure at <1,1> must not demote it back.
+        store.record(&check(&[1, 1], false, 1));
         assert_eq!(
-            store.peek(&Node(vec![1, 2])),
-            Some(Verdict::Exact(check(&[1, 2], true, 0)))
+            get(&store, &[0, 1]),
+            Some(Verdict::Exact(check(&[0, 1], false, 2)))
         );
     }
 
     #[test]
-    fn every_lookup_increments_exactly_one_counter() {
+    fn lookup_declines_inferred_entries_on_request() {
         let store = VerdictStore::new(&figure2(), 0);
-        store.record(&check(&[1, 1], true, 0));
-        assert!(store.lookup(&Node(vec![1, 1]), false).is_some()); // exact hit
-        assert!(store.lookup(&Node(vec![1, 2]), true).is_some()); // inferred hit
-        assert!(store.lookup(&Node(vec![1, 2]), false).is_none()); // declined -> miss
-        assert!(store.lookup(&Node(vec![0, 0]), true).is_none()); // miss
-        let c = store.counters();
-        assert_eq!((c.hits, c.inferred_hits, c.misses), (1, 1, 2));
-        assert_eq!(c.lookups(), 4);
-        assert_eq!(c.recorded_exact, 1);
-        assert_eq!(c.recorded_inferred, 1);
-        // peek is counter-neutral.
-        store.peek(&Node(vec![1, 1]));
-        assert_eq!(store.counters(), c);
+        store.record(&check(&[1, 1], false, 1)); // FailK below <1,1>
+        let exact = Some(Verdict::Exact(check(&[1, 1], false, 1)));
+        assert_eq!(store.lookup(&Node(vec![1, 1]), false), exact);
+        assert_eq!(store.lookup(&Node(vec![1, 1]), true), exact);
+        assert_eq!(
+            store.lookup(&Node(vec![0, 1]), true),
+            Some(Verdict::InferredFailK)
+        );
+        assert_eq!(store.lookup(&Node(vec![0, 1]), false), None, "declined");
+        assert_eq!(store.lookup(&Node(vec![1, 2]), true), None, "unknown");
     }
 
     #[test]
     fn export_is_exact_only_sorted_and_replayable() {
         let store = VerdictStore::new(&figure2(), 0);
-        store.record(&check(&[1, 1], true, 0)); // also infers <1,2> pass
-        store.record(&check(&[0, 1], false, 1));
+        store.record(&check(&[1, 1], false, 1)); // also infers 3 FailK below
+        store.record(&check(&[0, 2], true, 0));
         let exported = store.export_exact();
         assert_eq!(exported.len(), 2, "inferred entries are not exported");
         let nodes: Vec<&[u8]> = exported.iter().map(|c| c.node.levels()).collect();
-        assert_eq!(nodes, vec![&[0u8, 1][..], &[1, 1][..]], "sorted by levels");
+        assert_eq!(nodes, vec![&[0u8, 2][..], &[1, 1][..]], "sorted by levels");
         // Replaying the export into a fresh store reconstructs everything,
         // including the closure-inferred entries.
         let rebuilt = VerdictStore::new(&figure2(), 0);
@@ -703,7 +496,7 @@ mod tests {
             rebuilt.record(c);
         }
         assert_eq!(rebuilt.len(), store.len());
-        assert_eq!(rebuilt.peek(&Node(vec![1, 2])), Some(Verdict::InferredPass));
+        assert_eq!(get(&rebuilt, &[0, 0]), Some(Verdict::InferredFailK));
         assert_eq!(rebuilt.export_exact(), exported);
     }
 
@@ -736,29 +529,32 @@ mod tests {
     #[test]
     fn keep_all_and_drop_all_count_every_entry() {
         let store = VerdictStore::new(&figure2(), 0);
-        store.record(&check(&[1, 1], true, 0)); // + inferred pass at <1,2>
-        store.record(&check(&[0, 1], false, 1)); // + inferred FailK at <0,0>
+        store.record(&check(&[1, 1], false, 1)); // + FailK at <0,0>, <1,0>, <0,1>
         assert_eq!(store.len(), 4);
-        let kept = store.invalidate(Invalidation::KeepAll);
+        let before = store.snapshot_entries();
+        let (kept, outcome) = store.invalidated_successor(Invalidation::KeepAll);
         assert_eq!(
-            kept,
+            outcome,
             InvalidationOutcome {
                 kept: 4,
                 invalidated: 0
             }
         );
-        assert_eq!(store.len(), 4, "keep-all drops nothing");
-        let dropped = store.invalidate(Invalidation::DropAll);
+        assert_eq!(kept.snapshot_entries(), before, "keep-all drops nothing");
+        let (dropped, outcome) = store.invalidated_successor(Invalidation::DropAll);
         assert_eq!(
-            dropped,
+            outcome,
             InvalidationOutcome {
                 kept: 0,
                 invalidated: 4
             }
         );
-        assert!(store.is_empty());
-        let c = store.counters();
-        assert_eq!((c.kept, c.invalidated), (4, 4));
+        assert!(dropped.is_empty());
+        assert_eq!(
+            store.snapshot_entries(),
+            before,
+            "the original is untouched"
+        );
     }
 
     #[test]
@@ -793,11 +589,11 @@ mod tests {
                 ..entry(CheckStage::Passed, true, Some(3), &[2, 1])
             },
         ];
-        let store = VerdictStore::for_model(&lattice, 0, false); // no closure noise
+        let store = VerdictStore::new(&lattice, 0); // violating 0: no closure
         for c in survivors.iter().chain(&casualties) {
             store.record(c);
         }
-        let outcome = store.invalidate(Invalidation::Conditions {
+        let (successor, outcome) = store.invalidated_successor(Invalidation::Conditions {
             stats: &stats,
             p: 2,
         });
@@ -810,19 +606,19 @@ mod tests {
         );
         for c in &survivors {
             assert_eq!(
-                store.peek(&c.node),
+                successor.lookup(&c.node, true),
                 Some(Verdict::Exact(c.clone())),
                 "{}",
                 c.node
             );
         }
         for c in &casualties {
-            assert_eq!(store.peek(&c.node), None, "{}", c.node);
+            assert_eq!(successor.lookup(&c.node, true), None, "{}", c.node);
         }
         // A Condition-1 failure survives when the new stats still refuse p.
-        let store = VerdictStore::for_model(&lattice, 0, false);
+        let store = VerdictStore::new(&lattice, 0);
         store.record(&entry(CheckStage::Condition1, false, None, &[0, 0]));
-        let outcome = store.invalidate(Invalidation::Conditions {
+        let (_, outcome) = store.invalidated_successor(Invalidation::Conditions {
             stats: &stats,
             p: 4,
         });
@@ -836,103 +632,20 @@ mod tests {
     }
 
     #[test]
-    fn conditions_policy_keeps_fail_k_but_drops_inferred_passes() {
+    fn conditions_policy_keeps_fail_k() {
         let stats = stats_of(&[3, 2, 1]);
         let store = VerdictStore::new(&figure2(), 0);
-        store.record(&check(&[1, 1], true, 0)); // inferred pass at <1,2>
         store.record(&check(&[0, 1], false, 1)); // violating 1 > ts 0: FailK below
-        assert_eq!(store.peek(&Node(vec![1, 2])), Some(Verdict::InferredPass));
-        assert_eq!(store.peek(&Node(vec![0, 0])), Some(Verdict::InferredFailK));
-        store.invalidate(Invalidation::Conditions {
+        assert_eq!(get(&store, &[0, 0]), Some(Verdict::InferredFailK));
+        let (successor, _) = store.invalidated_successor(Invalidation::Conditions {
             stats: &stats,
             p: 2,
         });
         assert_eq!(
-            store.peek(&Node(vec![1, 2])),
-            None,
-            "inferred passes drop: the witness may itself have flipped"
-        );
-        assert_eq!(
-            store.peek(&Node(vec![0, 0])),
+            get(&successor, &[0, 0]),
             Some(Verdict::InferredFailK),
             "the k-violation certificate is partition-derived and stands"
         );
-    }
-
-    /// Records the same mixed-stage entry set into a fresh store; used to
-    /// compare the successor against in-place invalidation.
-    fn mixed_store(lattice: &Lattice) -> VerdictStore {
-        let entry = |stage, satisfied, n_groups, levels: &[u8]| NodeCheck {
-            stage,
-            satisfied,
-            n_groups,
-            ..check(levels, satisfied, 0)
-        };
-        let store = VerdictStore::for_model(lattice, 0, false); // no closure noise
-        for c in [
-            entry(CheckStage::Passed, true, Some(3), &[0, 0]),
-            entry(CheckStage::Condition2, false, Some(4), &[0, 1]),
-            entry(CheckStage::Passed, true, Some(4), &[1, 0]),
-            entry(CheckStage::Condition1, false, None, &[2, 0]),
-        ] {
-            store.record(&c);
-        }
-        store
-    }
-
-    #[test]
-    fn invalidated_successor_matches_in_place_invalidate() {
-        let lattice = Lattice::new(vec![3, 3]);
-        let stats = stats_of(&[3, 2, 1]);
-        for policy in [
-            Invalidation::KeepAll,
-            Invalidation::DropAll,
-            Invalidation::Conditions {
-                stats: &stats,
-                p: 2,
-            },
-        ] {
-            let original = mixed_store(&lattice);
-            let in_place = mixed_store(&lattice);
-            let before = original.snapshot_entries();
-            let (successor, outcome) = original.invalidated_successor(policy);
-            let expected = in_place.invalidate(policy);
-            assert_eq!(outcome, expected, "{policy:?}");
-            assert_eq!(
-                successor.snapshot_entries(),
-                in_place.snapshot_entries(),
-                "{policy:?}: successor and in-place invalidation must agree"
-            );
-            assert_eq!(
-                original.snapshot_entries(),
-                before,
-                "{policy:?}: the original store is untouched"
-            );
-        }
-    }
-
-    #[test]
-    fn invalidated_successor_carries_counters_and_config() {
-        let lattice = Lattice::new(vec![3, 3]);
-        let original = mixed_store(&lattice);
-        let _ = original.lookup(&Node(vec![0, 0]), true); // a hit
-        let _ = original.lookup(&Node(vec![3, 3]), true); // a miss
-        let prior = original.counters();
-        let (successor, outcome) = original.invalidated_successor(Invalidation::DropAll);
-        assert_eq!(outcome.invalidated, 4);
-        let after = successor.counters();
-        assert_eq!(
-            (after.hits, after.misses, after.recorded_exact),
-            (prior.hits, prior.misses, prior.recorded_exact),
-            "cumulative traffic counters survive the swap"
-        );
-        assert_eq!(after.invalidated, prior.invalidated + 4);
-        assert_eq!(successor.ts(), original.ts());
-        // The closure mode is inherited: a successor of a non-monotone
-        // store must still refuse inference.
-        successor.record(&check(&[1, 1], true, 0));
-        assert_eq!(successor.counters().recorded_inferred, 0);
-        assert_eq!(successor.len(), 1, "no closure entries materialized");
     }
 
     #[test]
@@ -947,11 +660,6 @@ mod tests {
         assert_eq!(rebuilt.len(), store.len());
         assert_eq!(rebuilt.approx_bytes(), store.approx_bytes());
         assert_eq!(rebuilt.snapshot_entries(), store.snapshot_entries());
-        assert_eq!(
-            rebuilt.counters(),
-            StoreCounters::default(),
-            "raw inserts are counter-neutral"
-        );
     }
 
     #[test]
@@ -960,57 +668,97 @@ mod tests {
         assert_bounds::<VerdictStore>();
     }
 
+    /// A pass at a node that suppresses tuples says nothing about its
+    /// ancestors, which re-admit those tuples. In each setup the kernel
+    /// passes ⟨0⟩ by suppressing an undersized group and fails ⟨1⟩;
+    /// recording the pass must leave ⟨1⟩ unknown rather than contradict the
+    /// kernel there.
     #[test]
-    fn non_monotone_store_refuses_closure_in_both_directions() {
-        let store = VerdictStore::for_model(&figure2(), 0, false);
-        // A pass that would close ancestors under a monotone model ...
-        store.record(&check(&[0, 0], true, 0));
-        // ... and a k-failure (violating > ts) that would close descendants.
-        store.record(&check(&[1, 1], false, 3));
-        assert_eq!(store.len(), 2, "only the two exact records exist");
-        for levels in [[0u8, 1], [0, 2], [1, 0], [1, 2]] {
-            assert_eq!(store.peek(&Node(levels.to_vec())), None, "{levels:?}");
+    fn recording_a_pass_never_contradicts_the_kernel_at_an_ancestor() {
+        use crate::masking::MaskingContext;
+        use crate::model::ModelSpec;
+        use crate::EvalContext;
+        use psens_hierarchy::builders::{flat_hierarchy, prefix_hierarchy};
+        use psens_hierarchy::{Hierarchy, QiSpace};
+        use psens_microdata::{table_from_str_rows, Attribute, Schema, Table};
+
+        fn zip_table(rows: &[(&str, &str)]) -> Table {
+            let schema = Schema::new(vec![
+                Attribute::cat_key("Zip"),
+                Attribute::cat_confidential("S"),
+            ])
+            .unwrap();
+            let rows: Vec<[&str; 2]> = rows.iter().map(|&(zip, s)| [zip, s]).collect();
+            let rows: Vec<&[&str]> = rows.iter().map(|row| &row[..]).collect();
+            table_from_str_rows(schema, &rows).unwrap()
         }
-        // Inferred verdicts were neither recorded nor can they be served.
-        for node in figure2().all_nodes() {
-            let _ = store.lookup(&node, true);
+        let zip_space = |hierarchy| QiSpace::new(vec![("Zip".into(), hierarchy)]).unwrap();
+        let prefixes = || {
+            zip_space(Hierarchy::Cat(
+                prefix_hierarchy(vec!["41076", "41099", "43102"], &[2, 0]).unwrap(),
+            ))
+        };
+
+        // Setup 1, entropy-l: ⟨0⟩ suppresses z2 and keeps z1 = {a, b}; ⟨1⟩
+        // merges everything into {a, a, b}, whose entropy is below ln 2.
+        let entropy = (
+            zip_table(&[("z1", "a"), ("z1", "b"), ("z2", "a")]),
+            zip_space(flat_hierarchy(vec!["z1", "z2"]).unwrap()),
+            ModelSpec::EntropyL { l: 2 },
+            1,
+        );
+        // Setup 2, t-closeness: ⟨0⟩ suppresses 41099 = {a}; ⟨1⟩ puts it back
+        // into 41*** = {a, a, b}, at EMD 1/6 > 0.1 from the table's
+        // (1/2, 1/2).
+        let mut rows = vec![("41076", "a"), ("41076", "b"), ("41099", "a")];
+        rows.extend([("43102", "a"); 5]);
+        rows.extend([("43102", "b"); 6]);
+        let closeness = (
+            zip_table(&rows),
+            prefixes(),
+            ModelSpec::TCloseness { t_ppm: 100_000 },
+            1,
+        );
+        // Setup 3, psens-k: ⟨0⟩ suppresses 41076 and 41099; ⟨1⟩ merges them
+        // into 41*** = {a, a}, a second group the statistics cannot make
+        // 2-sensitive (Condition 2).
+        let psens = (
+            zip_table(&[
+                ("41076", "a"),
+                ("41099", "a"),
+                ("43102", "a"),
+                ("43102", "b"),
+            ]),
+            prefixes(),
+            ModelSpec::PSensitiveK { p: 2 },
+            2,
+        );
+        for (table, qi, spec, ts) in [entropy, closeness, psens] {
+            let ctx = MaskingContext {
+                initial: &table,
+                qi: &qi,
+                k: 2,
+                p: spec.conditions_p(),
+                ts,
+            };
+            let stats = ctx.initial_stats();
+            let ectx = EvalContext::build(&ctx).unwrap().with_model(spec);
+            let mut eval = ectx.evaluator();
+            let store = VerdictStore::new(&qi.lattice(), ts);
+            let bottom = eval.check(&Node(vec![0]), &stats).unwrap();
+            assert!(bottom.satisfied && bottom.suppressed > 0, "{spec:?}");
+            store.record(&bottom);
+            let parent = Node(vec![1]);
+            assert!(!eval.check(&parent, &stats).unwrap().satisfied, "{spec:?}");
+            assert_eq!(store.lookup(&parent, true), None, "{spec:?}");
         }
-        let c = store.counters();
-        assert_eq!(c.recorded_inferred, 0, "closure must never run");
-        assert_eq!(c.inferred_hits, 0, "nothing inferred can be served");
-        assert_eq!((c.hits, c.misses), (2, 4));
     }
 
-    #[test]
-    fn monotone_for_model_store_is_bit_for_bit_new() {
-        let plain = VerdictStore::new(&figure2(), 2);
-        let modeled = VerdictStore::for_model(&figure2(), 2, true);
-        for c in [
-            check(&[0, 0], false, 3), // k-failure: closes descendants (none)
-            check(&[1, 1], true, 0),  // pass: closes ancestors
-            check(&[0, 1], false, 1), // suppressible failure: no closure
-        ] {
-            plain.record(&c);
-            modeled.record(&c);
-        }
-        for node in figure2().all_nodes() {
-            assert_eq!(plain.peek(&node), modeled.peek(&node), "{node}");
-            assert_eq!(
-                plain.lookup(&node, true),
-                modeled.lookup(&node, true),
-                "{node}"
-            );
-        }
-        assert_eq!(plain.counters(), modeled.counters());
-        assert_eq!(plain.export_exact(), modeled.export_exact());
-    }
-
-    /// The concurrency stress test the issue asks for: 16 threads hammer one
-    /// store with passes and k-failures recorded in conflicting orders.
-    /// Ground truth is the monotone predicate `height >= 3` on a 3-D
-    /// lattice, so closure can never produce a pass/fail contradiction —
-    /// the test asserts the store preserves that, and that the traffic
-    /// counters account for every lookup exactly.
+    /// The concurrency stress test: 16 threads hammer one store with
+    /// passes and k-failures recorded in conflicting orders. Ground truth
+    /// is the predicate `height >= 3` on a 3-D lattice, whose failures all
+    /// carry `violating_tuples > ts`, so closure can never produce a
+    /// pass/fail contradiction — the test asserts the store preserves that.
     #[test]
     fn sixteen_threads_recording_in_conflicting_orders_stay_consistent() {
         let lattice = Lattice::new(vec![2, 2, 2]);
@@ -1054,21 +802,15 @@ mod tests {
             }
         });
         // Closure invariant: no node holds a verdict contradicting the
-        // monotone ground truth (in particular, none is both pass and fail).
+        // ground truth (in particular, none is both pass and fail).
         for node in lattice.all_nodes() {
-            let verdict = store.peek(&node).expect("every node recorded");
+            let verdict = store.lookup(&node, true).expect("every node recorded");
             assert_eq!(verdict.satisfied(), truth(&node), "{node}");
             assert!(
                 !verdict.is_inferred(),
                 "exact records upgrade inferred entries: {node}"
             );
         }
-        // Counters sum exactly: every lookup is a hit, an inferred hit, or
-        // a miss; every record either inserted or found an exact entry.
-        let c = store.counters();
-        assert_eq!(c.lookups(), (n_threads * checks.len()) as u64);
         assert_eq!(store.len(), lattice.node_count());
-        assert!(c.recorded_exact >= checks.len() as u64);
-        assert!(c.hits + c.inferred_hits + c.misses == c.lookups());
     }
 }

@@ -5,8 +5,8 @@
 //! server does that work once at `register` and then serves `check` /
 //! `analyze` / `anonymize` / `query` requests against the interned table,
 //! keeping a pool of warm [`psens_core::VerdictStore`]s per dataset (keyed
-//! by `(p, k, ts)` — a store's monotonicity closure is only sound for one
-//! configuration) so repeated anonymize calls amortize lattice work.
+//! by `(model, k, ts)` — a store's verdicts hold for one configuration
+//! only) so repeated anonymize calls amortize lattice work.
 //!
 //! - [`protocol`]: 4-byte big-endian length-prefixed JSON frames; request /
 //!   response shapes and error codes.

@@ -8,9 +8,8 @@
 //! `anonymize` requests with the *same* model and parameters replay each
 //! other's node verdicts instead of re-running the kernel, which is where a
 //! long-running daemon earns its keep over one-shot CLI invocations.
-//! Stores for non-monotone models are created with closure inference off
-//! ([`VerdictStore::for_model`]), so a pooled store can never smuggle an
-//! unsound inferred verdict into a later request.
+//! A pooled store infers only k-failures, which hold for every model, so it
+//! never serves a later request a verdict the kernel would not reproduce.
 
 use crate::state::{SnapshotEntry, StateDir};
 use psens_core::{
@@ -171,16 +170,15 @@ impl Dataset {
             // Lock order live → stores, same as `snapshot_with_store`.
             let mut stores = self.stores.lock().expect("store pool poisoned");
             for (&(model, k, _ts), store) in stores.iter_mut() {
-                let policy = invalidation_for(&effect, &stats, &model, k as usize);
-                let outcome = if matches!(policy, Invalidation::KeepAll) {
-                    store.invalidate(policy)
-                } else {
-                    let (successor, outcome) = store.invalidated_successor(policy);
-                    *store = Arc::new(successor);
-                    outcome
-                };
-                kept += outcome.kept;
-                invalidated += outcome.invalidated;
+                match invalidation_for(&effect, &stats, &model, k as usize) {
+                    Invalidation::KeepAll => kept += store.len() as u64,
+                    policy => {
+                        let (successor, outcome) = store.invalidated_successor(policy);
+                        *store = Arc::new(successor);
+                        kept += outcome.kept;
+                        invalidated += outcome.invalidated;
+                    }
+                }
             }
         }
         Ok(DeltaOutcome {
@@ -232,8 +230,7 @@ impl Dataset {
     /// The warm store for `(model, k, ts)`, creating it on first use. The
     /// bool is `true` when the store already existed (a warm hit):
     /// subsequent searches replay its verdicts instead of re-checking
-    /// nodes. New stores inherit the model's monotonicity, so pools for
-    /// non-monotone models never perform closure inference.
+    /// nodes.
     pub fn store(&self, model: ModelSpec, k: u32, ts: usize) -> (Arc<VerdictStore>, bool) {
         let mut stores = self.stores.lock().expect("store pool poisoned");
         match stores.get(&(model, k, ts)) {
@@ -243,11 +240,7 @@ impl Dataset {
             }
             None => {
                 self.cold_misses.fetch_add(1, Ordering::Relaxed);
-                let store = Arc::new(VerdictStore::for_model(
-                    &self.qi.lattice(),
-                    ts,
-                    model.is_monotone(),
-                ));
+                let store = Arc::new(VerdictStore::new(&self.qi.lattice(), ts));
                 stores.insert((model, k, ts), Arc::clone(&store));
                 (store, false)
             }
@@ -982,7 +975,7 @@ mod tests {
             "the pre-delta Arc was detached"
         );
         assert_eq!(fresh.len(), 0, "no stale verdict reaches the new pool");
-        assert!(fresh.peek(&top).is_none());
+        assert!(fresh.lookup(&top, true).is_none());
         assert_eq!(table_after.n_rows(), table.n_rows() - 1);
     }
 

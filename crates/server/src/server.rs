@@ -999,8 +999,6 @@ fn analyze_op(state: &ServerState, request: &JsonValue) -> OpResult {
 /// search with the paper's necessary-condition pruning, budgeted by the
 /// request deadline and the request's cancel token, consulting the
 /// dataset's warm verdict store for `(model, k, ts)` unless `no_cache`.
-/// Non-monotone models get a closure-free store from the same pool; the
-/// two knobs never double-disable each other.
 ///
 /// `timeout_ms` is measured from request **arrival**, so time queued at the
 /// admission gate counts against the deadline — an overloaded server

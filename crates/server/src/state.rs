@@ -39,8 +39,8 @@
 //! ## Snapshot (`pools.snap`)
 //!
 //! Written only on clean shutdown, via tmp+rename: one JSON line per
-//! **exact** verdict (`VerdictStore::export_exact`; inferred entries are
-//! re-derived by the monotonicity closure on replay), closed by an end
+//! **exact** verdict (`VerdictStore::export_exact`; inferred k-failures are
+//! re-derived from their ancestors on replay), closed by an end
 //! marker carrying the line count and an FNV-1a hash of every preceding
 //! byte. A snapshot that fails any of those checks is discarded *whole*:
 //! pools then rebuild cold, and because a verdict is a pure function of

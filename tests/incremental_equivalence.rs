@@ -107,10 +107,10 @@ fn assert_incremental_matches_scratch(
 
     // One warm store per model, seeded by a baseline search so the very
     // first delta already has verdicts to keep or drop.
-    let stores: Vec<(ModelSpec, VerdictStore)> = MODELS
+    let mut stores: Vec<(ModelSpec, VerdictStore)> = MODELS
         .iter()
         .map(|&spec| {
-            let store = VerdictStore::for_model(&qi.lattice(), ts, spec.is_monotone());
+            let store = VerdictStore::new(&qi.lattice(), ts);
             let baseline = pk_minimal_generalization(
                 base,
                 &qi,
@@ -153,8 +153,10 @@ fn assert_incremental_matches_scratch(
             step_ix
         );
 
-        for (spec, store) in &stores {
-            let outcome = store.invalidate(invalidation_for(&effect, &stats, spec, k as usize));
+        for (spec, store) in &mut stores {
+            let (successor, outcome) =
+                store.invalidated_successor(invalidation_for(&effect, &stats, spec, k as usize));
+            *store = successor;
             totals.kept += outcome.kept;
             totals.invalidated += outcome.invalidated;
 
@@ -196,7 +198,7 @@ fn assert_incremental_matches_scratch(
                     &SearchRequest {
                         tuning: Tuning {
                             threads,
-                            cache: Some(store),
+                            cache: Some(&*store),
                             ..Tuning::default()
                         },
                         stats: Some(&stats),

@@ -276,12 +276,12 @@ fn replayed_verdicts_do_not_consume_the_node_budget() {
 #[test]
 fn inferred_verdicts_never_count_against_the_budget() {
     // This (seed, p, k, TS) combination is chosen so the binary search's
-    // probe path provably crosses a rolled-up stratum: with any other
-    // verdict source the `cache_inferred > 0` assertion below would not
-    // distinguish inferred replays from exact ones.
+    // probe path provably reaches nodes below a recorded k-failure: with
+    // any other verdict source the `cache_inferred > 0` assertion below
+    // would not distinguish inferred replays from exact ones.
     let im = AdultGenerator::new(93).generate(200);
     let qi = adult_qi_space();
-    let (p, k, ts) = (2u32, 5u32, 15usize);
+    let (p, k, ts) = (2u32, 5u32, 0usize);
     let lattice = qi.lattice();
     let store = VerdictStore::new(&lattice, ts);
     let tuning = Tuning {
@@ -290,13 +290,14 @@ fn inferred_verdicts_never_count_against_the_budget() {
         ..Tuning::default()
     };
 
-    // A completed level-wise pass settles the whole lattice: evaluated nodes
-    // hold exact verdicts, rolled-up nodes only inferred ones.
+    // A completed, unlimited binary search settles its own probe path:
+    // probed nodes hold exact verdicts, or inferred k-failures where a
+    // recorded ancestor already condemned them.
     let settle = SearchRequest {
         tuning,
         ..SearchRequest::new(ModelSpec::PSensitiveK { p }, k, ts)
     };
-    levelwise_minimal(&im, &qi, &settle, &NoopObserver).unwrap();
+    pk_minimal_generalization(&im, &qi, &settle, &NoopObserver).unwrap();
 
     // Under a zero-node budget any admission trips immediately, so the only
     // way the binary search can finish is if every probe — including those
@@ -311,7 +312,7 @@ fn inferred_verdicts_never_count_against_the_budget() {
     assert_eq!(warm.stats.nodes_evaluated, 0);
     assert!(
         warm.stats.cache_inferred > 0,
-        "the probe must have consulted at least one rolled-up (inferred) verdict"
+        "the probe must have consulted at least one inferred k-failure"
     );
 
     // Cold, the same zero budget trips before any work.

@@ -11,14 +11,20 @@
 //! - Node for node, the three reduced models return identical
 //!   [`NodeCheck`] records (stage classification included) across whole
 //!   lattices, not just at winners.
+//! - Under every model, a [`VerdictStore`] fed the kernel's checks never
+//!   holds a verdict the kernel contradicts: closure inferences must hold
+//!   for entropy l-diversity and t-closeness as much as for the
+//!   distinct-count models.
 
 use proptest::prelude::*;
 use psens::algorithms::{pk_minimal_generalization, SearchOutcome, SearchRequest};
-use psens::core::{EvalContext, ModelSpec, NodeCheck, NoopObserver};
+use psens::core::{EvalContext, ModelSpec, NodeCheck, NoopObserver, VerdictStore};
 use psens::datasets::hierarchies::{adult_qi_space, adult_wide_qi_space};
 use psens::datasets::AdultGenerator;
 use psens::hierarchy::QiSpace;
 use psens::prelude::*;
+use psens_testkit::spaces::search_qi_space;
+use psens_testkit::tables::{arb_wide_row, build_wide_table};
 
 /// The serial, trait-driven search for `spec` with everything else fixed.
 fn search_model(table: &Table, qi: &QiSpace, spec: ModelSpec, k: u32, ts: usize) -> SearchOutcome {
@@ -158,5 +164,67 @@ fn l1_bottom_verdict_equals_raw_k_grouping_truth() {
             is_k_anonymous(&table, &keys, k),
             "seed {seed} k {k}"
         );
+    }
+}
+
+/// The model a sampled `(family, parameter)` pair stands for: psens-k,
+/// distinct-l and entropy-l take the parameter as p or l, t-closeness as t
+/// in tenths.
+fn model_of(family: u8, param: u32) -> ModelSpec {
+    match family {
+        0 => ModelSpec::PSensitiveK { p: param },
+        1 => ModelSpec::DistinctL { l: param },
+        2 => ModelSpec::EntropyL { l: param },
+        _ => ModelSpec::TCloseness {
+            t_ppm: param * 100_000,
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1_000))]
+
+    /// Records the kernel's checks of a random subset of lattice nodes, then
+    /// holds every stored verdict, exact or inferred, against a fresh kernel
+    /// check of its node.
+    #[test]
+    fn stored_verdicts_never_contradict_the_kernel(
+        rows in prop::collection::vec(arb_wide_row(2), 1..40),
+        (family, param) in (0u8..4, 1u32..4),
+        k in 1u32..5,
+        ts in 0usize..6,
+        recorded in 0u64..u64::MAX,
+    ) {
+        let table = build_wide_table(&rows);
+        let qi = search_qi_space();
+        let spec = model_of(family, param);
+        let ctx = MaskingContext {
+            initial: &table,
+            qi: &qi,
+            k,
+            p: spec.conditions_p(),
+            ts,
+        };
+        let stats = ctx.initial_stats();
+        let ectx = EvalContext::build(&ctx).unwrap().with_model(spec);
+        let mut evaluator = ectx.evaluator();
+        let store = VerdictStore::new(&qi.lattice(), ts);
+        for (ix, node) in qi.lattice().all_nodes().into_iter().enumerate() {
+            if recorded >> (ix % 64) & 1 == 1 {
+                store.record(&evaluator.check(&node, &stats).unwrap());
+            }
+        }
+        for (node, verdict) in store.snapshot_entries() {
+            let fresh = evaluator.check(&node, &stats).unwrap();
+            prop_assert_eq!(
+                verdict.satisfied(),
+                fresh.satisfied,
+                "{} k={} ts={} node={}",
+                spec.describe(),
+                k,
+                ts,
+                node
+            );
+        }
     }
 }

@@ -295,7 +295,6 @@ proptest! {
         ),
         stat_rows in prop::collection::vec(arb_row(), 1..20),
         ts in 0usize..4,
-        monotone in any::<bool>(),
     ) {
         // `approx_bytes` backs the server's memory-pressure accounting, so
         // it must be a pure function of the store's *contents*: after any
@@ -305,7 +304,7 @@ proptest! {
         // the eviction budget silently rots.
         let lattice = Lattice::new(vec![2, 2]);
         let stats = ConfidentialStats::compute(&build_table(&stat_rows), &[2, 3]);
-        let store = VerdictStore::for_model(&lattice, ts, monotone);
+        let mut store = VerdictStore::new(&lattice, ts);
         for &(xl, yl, kind, vt, g, p, pass) in &ops {
             match kind {
                 0..=3 => {
@@ -325,17 +324,16 @@ proptest! {
                         detail: None,
                     });
                 }
-                4 => {
-                    store.invalidate(Invalidation::KeepAll);
-                }
-                5 => {
-                    store.invalidate(Invalidation::DropAll);
-                }
                 _ => {
-                    store.invalidate(Invalidation::Conditions { stats: &stats, p });
+                    let policy = match kind {
+                        4 => Invalidation::KeepAll,
+                        5 => Invalidation::DropAll,
+                        _ => Invalidation::Conditions { stats: &stats, p },
+                    };
+                    store = store.invalidated_successor(policy).0;
                 }
             }
-            let rebuilt = VerdictStore::for_model(&lattice, ts, monotone);
+            let rebuilt = VerdictStore::new(&lattice, ts);
             for (node, verdict) in store.snapshot_entries() {
                 rebuilt.insert_raw(node, verdict);
             }

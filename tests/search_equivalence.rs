@@ -2,8 +2,8 @@
 //! its single [`SearchRequest`] entry point, against its serial, uncached,
 //! pruned counterpart.
 //!
-//! For proptest-generated tables and (p, k, TS) configurations, every
-//! combination of `pruning ∈ {None, NecessaryConditions}`,
+//! For proptest-generated tables, privacy models and (k, TS) thresholds,
+//! every combination of `pruning ∈ {None, NecessaryConditions}`,
 //! `threads ∈ {1, 2, 8}` and cache on/off must reproduce the oracle's
 //! results node-for-node:
 //!
@@ -80,17 +80,31 @@ fn assert_partition_holds(
     Ok(())
 }
 
+/// The model a sampled `(family, parameter)` pair stands for: psens-k,
+/// distinct-l and entropy-l take the parameter as p or l, t-closeness as t
+/// in tenths.
+fn model_of(family: u8, param: u32) -> ModelSpec {
+    match family {
+        0 => ModelSpec::PSensitiveK { p: param },
+        1 => ModelSpec::DistinctL { l: param },
+        2 => ModelSpec::EntropyL { l: param },
+        _ => ModelSpec::TCloseness {
+            t_ppm: param * 100_000,
+        },
+    }
+}
+
 /// Runs every lattice search under every `(pruning, cache, threads)`
 /// combination and compares each against its default-request oracle.
 fn assert_searches_match_oracles(
     table: &Table,
     qi: &QiSpace,
-    p: u32,
+    model: ModelSpec,
     k: u32,
     ts: usize,
 ) -> Result<(), TestCaseError> {
     let noop = NoopObserver;
-    let oracle = SearchRequest::new(ModelSpec::PSensitiveK { p }, k, ts);
+    let oracle = SearchRequest::new(model, k, ts);
     let sam0 = pk_minimal_generalization(table, qi, &oracle, &noop).unwrap();
     let lw0 = levelwise_minimal(table, qi, &oracle, &noop).unwrap();
     let ex0 = exhaustive_scan(table, qi, &oracle, &noop).unwrap();
@@ -114,7 +128,8 @@ fn assert_searches_match_oracles(
                     ..oracle.clone()
                 };
                 let setting = format!(
-                    "p={p} k={k} ts={ts} pruning={pruning:?} threads={threads} cache={}",
+                    "{} k={k} ts={ts} pruning={pruning:?} threads={threads} cache={}",
+                    model.describe(),
                     cache.is_some()
                 );
 
@@ -172,17 +187,20 @@ fn assert_searches_match_oracles(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The main oracle: random tables, random thresholds, all strategies,
-    /// both pruning modes, all tunings, one shared store.
+    /// The main oracle: random tables, models and thresholds, all
+    /// strategies, both pruning modes, all tunings, one shared store. The
+    /// model family is drawn last, so a persisted seed still replays the
+    /// table, k, parameter and TS it was saved with.
     #[test]
     fn tuned_searches_equal_serial_uncached_oracles(
         rows in prop::collection::vec(arb_row(), 1..40),
         k in 1u32..5,
-        p in 1u32..4,
+        param in 1u32..4,
         ts in 0usize..6,
+        family in 0u8..4,
     ) {
         let t = build_table(&rows);
-        assert_searches_match_oracles(&t, &test_qi_space(), p, k, ts)?;
+        assert_searches_match_oracles(&t, &test_qi_space(), model_of(family, param), k, ts)?;
     }
 
     /// Degenerate thresholds: k beyond the table size (everything fails
@@ -196,8 +214,9 @@ proptest! {
         let t = build_table(&rows);
         let k = t.n_rows() as u32 + 1;
         let ts = t.n_rows();
-        assert_searches_match_oracles(&t, &test_qi_space(), p, k, ts)?;
-        assert_searches_match_oracles(&t, &test_qi_space(), p, k, 0)?;
+        let model = ModelSpec::PSensitiveK { p };
+        assert_searches_match_oracles(&t, &test_qi_space(), model, k, ts)?;
+        assert_searches_match_oracles(&t, &test_qi_space(), model, k, 0)?;
     }
 }
 
@@ -251,8 +270,9 @@ fn a_levelwise_warmed_store_answers_the_whole_binary_search() {
         ..Tuning::default()
     };
 
-    // A completed level-wise run settles every lattice node: evaluated
-    // nodes exactly, rolled-up nodes by upward closure from their children.
+    // A completed level-wise run records every node it evaluates, and each
+    // recorded k-failure condemns its descendants. Rolled-up nodes get no
+    // entry, but Samarati's probes on this configuration never need one.
     let lw = levelwise_minimal(
         &im,
         &qi,
