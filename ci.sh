@@ -25,13 +25,22 @@ echo "==> benchmark crate tests (compiles it against the workspace crates)"
 CARGO_TARGET_DIR=.bench_build \
   cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml
 
-echo "==> smoke: budget-interrupted anonymize (exit 3, termination report)"
-PSENS=target/release/psens
 SMOKE_DIR="$(mktemp -d)"
 server_pid=""
 # NB: guard the kill — an unconditional `kill "${server_pid:-0}"` would
 # signal pid 0, i.e. this script's own process group.
 trap 'if [ -n "$server_pid" ]; then kill "$server_pid" 2>/dev/null || true; fi; rm -rf "$SMOKE_DIR"' EXIT
+
+echo "==> benchmark --quick: every benchmark correctness gate on tiny inputs"
+# Wire verdicts against in-process searches on the 8-QI cold-search table,
+# warm against cold, journal recovery, and CLI releases: the gates a
+# benchmark run checks before it prints a number. CARGO_TARGET_DIR stays
+# unset so the benchmark drives the root release build made above.
+cargo run --release --offline --locked --manifest-path benchmark/Cargo.toml -- \
+  run --seed 1 --out "$SMOKE_DIR/bench-quick" --quick > /dev/null
+
+echo "==> smoke: budget-interrupted anonymize (exit 3, termination report)"
+PSENS=target/release/psens
 "$PSENS" generate --rows 50000 --seed 7 --out "$SMOKE_DIR/data.csv" > /dev/null
 "$PSENS" spec --out "$SMOKE_DIR/spec.json" > /dev/null
 # An already-expired deadline (--timeout 0) interrupts deterministically at

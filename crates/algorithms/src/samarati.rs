@@ -124,14 +124,14 @@ pub fn pk_minimal_generalization<O: SearchObserver>(
         });
     }
 
-    // Candidate nodes run through the code-mapped kernel; a table is
-    // materialized only for each probe's winning node.
+    // Candidate nodes run through the code-mapped kernel; the returned
+    // node's table is materialized once, after the search.
     let ectx = setup.eval_context(observer)?;
     let mut eval = ectx.evaluator();
     let state = req.budget.start();
     let mut low = 0usize;
     let mut high = lattice.height();
-    let mut best: Option<(Node, Table, usize)> = None;
+    let mut best: Option<Node> = None;
 
     // Monotonicity makes "some node at height h satisfies" monotone in h, so
     // binary search converges on the minimal satisfiable height (where it
@@ -158,7 +158,7 @@ pub fn pk_minimal_generalization<O: SearchObserver>(
         // `low == high`: verify the final height (binary search never probes
         // the initial `high`, and for unsatisfiable instances no height
         // works).
-        if best.as_ref().map(|(n, _, _)| n.height()) != Some(low) {
+        if best.as_ref().map(Node::height) != Some(low) {
             stats.heights_probed.push(low);
             observer.height_entered(low);
             match probe_height(&setup, &ectx, &mut eval, low, &state, &mut stats, observer)? {
@@ -171,23 +171,27 @@ pub fn pk_minimal_generalization<O: SearchObserver>(
         }
     }
 
-    Ok(match best {
-        Some((node, masked, suppressed)) => SearchOutcome {
-            node: Some(node),
-            masked: Some(masked),
-            suppressed,
-            proven_min_height: low,
-            stats,
-            termination: state.termination(),
-        },
-        None => SearchOutcome {
-            node: None,
-            masked: None,
-            suppressed: 0,
-            proven_min_height: low,
-            stats,
-            termination: state.termination(),
-        },
+    // Free the kernel's code maps and partition scratch first: the release
+    // table is the largest allocation a search makes, and the two need
+    // never be live together.
+    drop(eval);
+    drop(ectx);
+    let (masked, suppressed) = match &best {
+        Some(node) => {
+            let outcome = setup
+                .ctx
+                .evaluate_observed(node, &setup.check_stats, observer)?;
+            (Some(outcome.masked), outcome.suppressed)
+        }
+        None => (None, 0),
+    };
+    Ok(SearchOutcome {
+        node: best,
+        masked,
+        suppressed,
+        proven_min_height: low,
+        stats,
+        termination: state.termination(),
     })
 }
 
@@ -219,14 +223,9 @@ pub fn pk_minimal_generalization_model_with_stats<O: SearchObserver>(
     pk_minimal_generalization(initial, qi, &req, observer)
 }
 
-/// A probe's hit: the satisfying node, its masked table, and the suppressed
-/// tuple count.
-type ProbeHit = (Node, Table, usize);
-
-/// Evaluates the nodes of one lattice stratum; returns the first satisfier,
-/// materializing its masked table (candidates that fail cost no tables).
-/// Breaks as soon as the budget refuses a node admission — an interrupted
-/// probe proves nothing about its height.
+/// Checks the nodes of one lattice stratum and returns the first satisfier;
+/// no table is materialized. Breaks as soon as the budget refuses a node
+/// admission — an interrupted probe proves nothing about its height.
 ///
 /// With `tuning.threads > 1` the stratum is chunked across scoped workers;
 /// serial and parallel probes return the same node (the lowest-index
@@ -239,8 +238,8 @@ fn probe_height<O: SearchObserver>(
     state: &BudgetState,
     stats: &mut SearchStats,
     observer: &O,
-) -> Result<ControlFlow<Termination, Option<ProbeHit>>, psens_hierarchy::Error> {
-    let (ctx, check_stats) = (&setup.ctx, &*setup.check_stats);
+) -> Result<ControlFlow<Termination, Option<Node>>, psens_hierarchy::Error> {
+    let check_stats = &*setup.check_stats;
     let tuning = setup.req.tuning;
     let nodes = setup.lattice.nodes_at_height(height);
     if tuning.effective_threads() == 1 {
@@ -252,12 +251,7 @@ fn probe_height<O: SearchObserver>(
                 };
             stats.record_cached(&cc);
             if cc.satisfied {
-                let outcome = ctx.evaluate_observed(&node, check_stats, observer)?;
-                return Ok(ControlFlow::Continue(Some((
-                    node,
-                    outcome.masked,
-                    outcome.suppressed,
-                ))));
+                return Ok(ControlFlow::Continue(Some(node)));
             }
         }
         return Ok(ControlFlow::Continue(None));
@@ -269,18 +263,9 @@ fn probe_height<O: SearchObserver>(
         // cause is reported like a serial admission refusal.
         return Ok(ControlFlow::Break(state.termination()));
     }
-    match hits.first() {
-        Some(&ix) => {
-            let node = nodes[ix].clone();
-            let outcome = ctx.evaluate_observed(&node, check_stats, observer)?;
-            Ok(ControlFlow::Continue(Some((
-                node,
-                outcome.masked,
-                outcome.suppressed,
-            ))))
-        }
-        None => Ok(ControlFlow::Continue(None)),
-    }
+    Ok(ControlFlow::Continue(
+        hits.first().map(|&ix| nodes[ix].clone()),
+    ))
 }
 
 #[cfg(test)]
@@ -481,6 +466,31 @@ mod tests {
         assert_eq!(outcome.termination, Termination::Cancelled);
         assert!(outcome.node.is_none());
         assert_eq!(outcome.proven_min_height, 0);
+    }
+
+    /// Only the returned node's table is built, however many probes
+    /// succeed: here the heights 15 and 14 both hold a satisfier.
+    #[test]
+    fn materializes_only_the_returned_node() {
+        let im = psens_datasets::AdultGenerator::new(3).generate_wide(60);
+        let qi = psens_datasets::hierarchies::adult_wide_qi_space();
+        let req = SearchRequest::new(ModelSpec::PSensitiveK { p: 2 }, 3, 10);
+        let observer = psens_core::RecordingObserver::new();
+        let outcome = pk_minimal_generalization(&im, &qi, &req, &observer).unwrap();
+        assert_eq!(outcome.stats.heights_probed, vec![8, 13, 15, 14]);
+        let node = outcome.node.expect("satisfiable");
+        assert_eq!(node.height(), 14);
+        assert_eq!(observer.telemetry().tables_materialized, 1);
+        let ctx = psens_core::MaskingContext {
+            initial: &im,
+            qi: &qi,
+            k: 3,
+            p: 2,
+            ts: 10,
+        };
+        let expected = ctx.evaluate(&node, &ctx.initial_stats()).unwrap();
+        assert_eq!(outcome.masked, Some(expected.masked));
+        assert_eq!(outcome.suppressed, expected.suppressed);
     }
 
     #[test]

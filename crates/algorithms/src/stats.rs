@@ -20,7 +20,8 @@ pub struct SearchStats {
     pub lattice_nodes: usize,
     /// Lattice heights probed by the search, in probe order.
     pub heights_probed: Vec<usize>,
-    /// Nodes for which a masked table was materialized and checked.
+    /// Nodes the kernel checked afresh (no table is materialized for a
+    /// check; verdicts replayed or inferred from a store are not counted).
     pub nodes_evaluated: usize,
     /// Node checks settled by Condition 1 (`p > maxP`).
     pub rejected_condition1: usize,

@@ -18,13 +18,22 @@
 //! the QI partition is a [`CodeCombiner`] refinement over mapped codes, and
 //! suppression needs no row removal at all, because deleting the rows of
 //! undersized groups leaves every surviving group untouched (the fact
-//! [`crate::suppress::suppress_to_k`]'s doc comment records). The outcome is
-//! field-for-field identical to the materializing pipeline; materialize a
-//! `Table` (via `MaskingContext::evaluate`) only for the winning node.
+//! [`crate::suppress::suppress_to_k`]'s doc comment records). Under
+//! p-sensitive k-anonymity the outcome is field-for-field what
+//! `MaskingContext::evaluate` reports; under the other models the two agree
+//! up to the model's own group check, which `evaluate` does not run. A
+//! search materializes a `Table` (via `MaskingContext::evaluate`) once, for
+//! the node it returns.
+//!
+//! The partition after QI attribute j depends only on the node's levels
+//! `0..=j`, so a `NodeEvaluator` keeps the partition after each of the first
+//! m − 1 attributes and resumes the next node's refinement from the longest
+//! level prefix the two nodes share. A stratum lists its nodes in
+//! lexicographic order, so consecutive checks share most of their prefix.
 //!
 //! `EvalContext` is immutable and `Sync`: a parallel scan builds it once and
 //! hands `&EvalContext` to every worker, each of which owns its own
-//! (cheap, reusable) `NodeEvaluator` scratch.
+//! reusable `NodeEvaluator` scratch.
 
 use crate::budget::{BudgetState, Termination};
 use crate::checker::{empty_release_fails, CheckStage};
@@ -226,11 +235,14 @@ impl EvalContext {
         Ok(built)
     }
 
-    /// A fresh per-thread evaluator borrowing this context.
+    /// A fresh per-thread evaluator borrowing this context. Its scratch is
+    /// allocated by the first check.
     pub fn evaluator(&self) -> NodeEvaluator<'_> {
         NodeEvaluator {
             ctx: self,
             combiner: CodeCombiner::new(),
+            prefixes: Vec::new(),
+            prefix_keys: Vec::new(),
             current: Vec::new(),
             sizes: Vec::new(),
             offsets: Vec::new(),
@@ -259,15 +271,49 @@ impl EvalContext {
             )))
         }
     }
+
+    /// Writes into `out` the refinement of `prev` (`None`: the one-group
+    /// partition, `n_groups` 1 or 0) by QI attribute `i` at `level`;
+    /// returns the refined group count. A QI attribute without the `Key`
+    /// role does not group, so `prev` is copied through unchanged.
+    fn refine_qi(
+        &self,
+        combiner: &mut CodeCombiner,
+        i: usize,
+        level: u8,
+        prev: Option<&[u32]>,
+        out: &mut [u32],
+        n_groups: u32,
+    ) -> u32 {
+        if !self.qi_is_key[i] {
+            match prev {
+                Some(prev) => out.copy_from_slice(prev),
+                None => out.fill(0),
+            }
+            return n_groups;
+        }
+        let attr = self.maps.attr(i);
+        let lm = attr.level(level as usize);
+        combiner.refine_mapped_into(prev, out, n_groups, attr.base(), lm.map(), lm.n_codes())
+    }
 }
 
 /// Per-thread scratch for checking nodes against one [`EvalContext`].
-/// Reuses every buffer (partition ids, group sizes, counting-sort order,
-/// distinct stamps) across nodes, so steady-state checks allocate nothing.
+/// Reuses every buffer (partition prefixes and ids, group sizes,
+/// counting-sort order, distinct stamps) across nodes, so steady-state
+/// checks allocate nothing. The prefixes hold (m − 1) · n `u32` for m QI
+/// attributes and n rows.
 #[derive(Debug)]
 pub struct NodeEvaluator<'a> {
     ctx: &'a EvalContext,
     combiner: CodeCombiner,
+    /// The partition after each of the first m − 1 QI attributes of the
+    /// last partitioned node, n ids apiece: prefix j starts at `j * n`.
+    /// It depends only on that node's `levels[0..=j]`.
+    prefixes: Vec<u32>,
+    /// `(levels[j], group count)` of each valid prefix j; prefixes past
+    /// the last entry are stale.
+    prefix_keys: Vec<(u8, u32)>,
     /// `current[r]`: row r's dense QI-group id.
     current: Vec<u32>,
     /// Group sizes, indexed by group id.
@@ -485,27 +531,53 @@ impl NodeEvaluator<'_> {
         }
     }
 
-    /// Refines the QI partition for `node`; returns the group count.
+    /// Refines the QI partition for `node` into `current`; returns the
+    /// group count.
+    ///
+    /// The partition after QI attribute j depends only on `levels[0..=j]`,
+    /// so the refinement resumes from the longest level prefix `node`
+    /// shares with the last partitioned node (consecutive nodes of a
+    /// stratum share most of theirs) and stores each prefix it computes.
+    /// The last QI attribute and the static keys refine into `current`.
     fn partition(&mut self, node: &Node) -> u32 {
         let ctx = self.ctx;
         let n = ctx.n_rows;
-        self.current.clear();
+        let levels = node.levels();
+        // A QI space has at least one attribute.
+        let last = levels.len() - 1;
+        self.prefixes.resize(last * n, 0);
         self.current.resize(n, 0);
-        let mut n_groups = u32::from(n > 0);
-        for (i, &level) in node.levels().iter().enumerate() {
-            if !ctx.qi_is_key[i] {
-                continue;
-            }
-            let attr = ctx.maps.attr(i);
-            let lm = attr.level(level as usize);
-            n_groups = self.combiner.refine_mapped(
-                &mut self.current,
-                n_groups,
-                attr.base(),
-                lm.map(),
-                lm.n_codes(),
+        let shared = levels
+            .iter()
+            .zip(&self.prefix_keys)
+            .take_while(|(level, (stored, _))| *level == stored)
+            .count();
+        // Invalidated before any prefix is overwritten, so an unwinding
+        // refinement never leaves a prefix that disagrees with its level.
+        self.prefix_keys.truncate(shared);
+        let groups_so_far = |keys: &[(u8, u32)]| keys.last().map_or(u32::from(n > 0), |k| k.1);
+        for (j, &level) in levels.iter().enumerate().take(last).skip(shared) {
+            let (done, rest) = self.prefixes.split_at_mut(j * n);
+            let prev = j.checked_sub(1).map(|prev| &done[prev * n..]);
+            let n_groups = ctx.refine_qi(
+                &mut self.combiner,
+                j,
+                level,
+                prev,
+                &mut rest[..n],
+                groups_so_far(&self.prefix_keys),
             );
+            self.prefix_keys.push((level, n_groups));
         }
+        let prev = last.checked_sub(1).map(|prev| &self.prefixes[prev * n..]);
+        let mut n_groups = ctx.refine_qi(
+            &mut self.combiner,
+            last,
+            levels[last],
+            prev,
+            &mut self.current,
+            groups_so_far(&self.prefix_keys),
+        );
         for (codes, n_codes) in &ctx.static_keys {
             n_groups = self
                 .combiner
@@ -812,19 +884,20 @@ mod tests {
         .unwrap()
     }
 
+    fn zip_hierarchy() -> Hierarchy {
+        Hierarchy::Cat(
+            prefix_hierarchy(
+                vec!["41076", "41099", "43102", "43103", "48201", "48202"],
+                &[2, 0],
+            )
+            .unwrap(),
+        )
+    }
+
     fn qi() -> QiSpace {
         QiSpace::new(vec![
             ("Sex".into(), flat_hierarchy(vec!["M", "F"]).unwrap()),
-            (
-                "ZipCode".into(),
-                Hierarchy::Cat(
-                    prefix_hierarchy(
-                        vec!["41076", "41099", "43102", "43103", "48201", "48202"],
-                        &[2, 0],
-                    )
-                    .unwrap(),
-                ),
-            ),
+            ("ZipCode".into(), zip_hierarchy()),
         ])
         .unwrap()
     }
@@ -859,6 +932,52 @@ mod tests {
                         assert_eq!(fast.n_groups, slow.n_groups, "{setting}");
                     }
                 }
+            }
+        }
+    }
+
+    /// QI attributes without the `Key` role are generalized but not
+    /// grouped on: the identifier first (no prefix before it) and the
+    /// confidential attribute between two keys (its prefix copies the one
+    /// before). One evaluator checks the whole lattice in order.
+    #[test]
+    fn non_key_qi_attributes_agree_with_materializing_evaluate() {
+        let t = table();
+        let names: Vec<String> = (0..10).map(|i| format!("n{i}")).collect();
+        let qi = QiSpace::new(vec![
+            ("Name".into(), flat_hierarchy(names).unwrap()),
+            ("Sex".into(), flat_hierarchy(vec!["M", "F"]).unwrap()),
+            (
+                "Illness".into(),
+                flat_hierarchy(vec!["Flu", "HIV", "Asthma"]).unwrap(),
+            ),
+            ("ZipCode".into(), zip_hierarchy()),
+        ])
+        .unwrap();
+        for (k, p, ts) in [(1u32, 1u32, 0usize), (2, 2, 2), (3, 2, 7)] {
+            let ctx = MaskingContext {
+                initial: &t,
+                qi: &qi,
+                k,
+                p,
+                ts,
+            };
+            let stats = ctx.initial_stats();
+            let ectx = EvalContext::build(&ctx).unwrap();
+            let mut eval = ectx.evaluator();
+            for node in qi.lattice().all_nodes() {
+                let slow = ctx.evaluate(&node, &stats).unwrap();
+                let fast = eval.check(&node, &stats).unwrap();
+                assert_eq!(
+                    (fast.satisfied, fast.stage, fast.n_groups),
+                    (slow.satisfied, slow.stage, slow.n_groups),
+                    "k={k} p={p} ts={ts} node={node}"
+                );
+                assert_eq!(
+                    (fast.violating_tuples, fast.suppressed),
+                    (slow.violating_tuples, slow.suppressed),
+                    "k={k} p={p} ts={ts} node={node}"
+                );
             }
         }
     }

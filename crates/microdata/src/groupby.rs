@@ -63,7 +63,13 @@ impl CodeCombiner {
         codes: &[u32],
         n_codes: u32,
     ) -> u32 {
-        self.refine_with(current, n_groups, n_codes, |row| codes[row])
+        self.refine_with(
+            current,
+            n_groups,
+            n_codes,
+            |out, row| out[row],
+            |row| codes[row],
+        )
     }
 
     /// Like [`CodeCombiner::refine`], but reads row `r`'s code as
@@ -77,16 +83,50 @@ impl CodeCombiner {
         map: &[u32],
         n_codes: u32,
     ) -> u32 {
-        self.refine_with(current, n_groups, n_codes, |row| map[base[row] as usize])
+        self.refine_with(
+            current,
+            n_groups,
+            n_codes,
+            |out, row| out[row],
+            |row| map[base[row] as usize],
+        )
     }
 
-    /// The refinement both public variants share: `code_of_row(r)` is row
-    /// `r`'s code, `< n_codes`.
+    /// [`CodeCombiner::refine_mapped`] out of place: writes into `next` the
+    /// refinement of `prev` (with `n_groups` dense ids), leaving `prev`
+    /// intact; `prev = None` stands for the one-group partition of every row
+    /// (pass `n_groups = 1`, or 0 for no rows). The ids are exactly those an
+    /// in-place refinement of the same partition would assign, so a caller
+    /// can keep a chain of partial partitions and resume from any link.
+    pub fn refine_mapped_into(
+        &mut self,
+        prev: Option<&[u32]>,
+        next: &mut [u32],
+        n_groups: u32,
+        base: &[u32],
+        map: &[u32],
+        n_codes: u32,
+    ) -> u32 {
+        let code_of_row = |row: usize| map[base[row] as usize];
+        match prev {
+            Some(prev) => {
+                assert_eq!(prev.len(), next.len(), "partitions cover the same rows");
+                self.refine_with(next, n_groups, n_codes, |_, row| prev[row], code_of_row)
+            }
+            None => self.refine_with(next, n_groups, n_codes, |_, _| 0, code_of_row),
+        }
+    }
+
+    /// The refinement every public variant shares: writes row `r`'s new id
+    /// into `out[r]`, where `cur_of_row(out, r)` is its current id (read
+    /// before the write, so `out` may hold the partition being refined) and
+    /// `code_of_row(r)` its code, `< n_codes`.
     fn refine_with(
         &mut self,
-        current: &mut [u32],
+        out: &mut [u32],
         n_groups: u32,
         n_codes: u32,
+        cur_of_row: impl Fn(&[u32], usize) -> u32,
         code_of_row: impl Fn(usize) -> u32,
     ) -> u32 {
         let product = n_groups as u64 * n_codes as u64;
@@ -99,10 +139,11 @@ impl CodeCombiner {
                 self.radix[slot as usize] = u32::MAX;
             }
             self.touched.clear();
-            for (row, cur) in current.iter_mut().enumerate() {
-                let key = *cur as usize * n_codes as usize + code_of_row(row) as usize;
+            for row in 0..out.len() {
+                let key =
+                    cur_of_row(out, row) as usize * n_codes as usize + code_of_row(row) as usize;
                 let id = self.radix[key];
-                *cur = if id == u32::MAX {
+                out[row] = if id == u32::MAX {
                     let id = next;
                     self.radix[key] = id;
                     self.touched.push(key as u32);
@@ -114,10 +155,10 @@ impl CodeCombiner {
             }
         } else {
             self.hash.clear();
-            for (row, cur) in current.iter_mut().enumerate() {
-                *cur = *self
+            for row in 0..out.len() {
+                out[row] = *self
                     .hash
-                    .entry((*cur, code_of_row(row)))
+                    .entry((cur_of_row(out, row), code_of_row(row)))
                     .or_insert_with(|| {
                         let id = next;
                         next += 1;
@@ -152,13 +193,19 @@ impl GroupBy {
                 Column::Cat(cat) => {
                     let missing = cat.dictionary().len() as u32;
                     let (codes, validity) = (cat.raw_codes(), cat.validity());
-                    combiner.refine_with(&mut current, n_groups, missing + 1, |row| {
-                        if validity.get(row) {
-                            codes[row]
-                        } else {
-                            missing
-                        }
-                    })
+                    combiner.refine_with(
+                        &mut current,
+                        n_groups,
+                        missing + 1,
+                        |out, row| out[row],
+                        |row| {
+                            if validity.get(row) {
+                                codes[row]
+                            } else {
+                                missing
+                            }
+                        },
+                    )
                 }
                 column @ Column::Int(_) => {
                     let (codes, n_codes) = column.dense_codes();
@@ -559,6 +606,27 @@ mod tests {
         let n_plain = combiner.refine(&mut plain, 1, &mapped, 2);
         assert_eq!(n_fused, n_plain);
         assert_eq!(fused, plain);
+    }
+
+    #[test]
+    fn refine_mapped_into_matches_in_place_chain() {
+        let base_a = vec![0u32, 1, 2, 3, 2, 1, 0, 3];
+        let base_b = vec![1u32, 1, 0, 0, 2, 2, 1, 0];
+        let (map_a, map_b) = (vec![0u32, 1, 0, 1], vec![0u32, 1, 2]);
+        let mut combiner = CodeCombiner::new();
+        // In place: one buffer refined by A, then by B.
+        let mut chained = vec![0u32; base_a.len()];
+        let g = combiner.refine_mapped(&mut chained, 1, &base_a, &map_a, 2);
+        let g = combiner.refine_mapped(&mut chained, g, &base_b, &map_b, 3);
+        // Out of place: A from the one-group partition, B from A's result,
+        // and A's partition is left intact for a second refinement.
+        let mut after_a = vec![u32::MAX; base_a.len()];
+        let mut after_b = vec![u32::MAX; base_a.len()];
+        let ga = combiner.refine_mapped_into(None, &mut after_a, 1, &base_a, &map_a, 2);
+        let snapshot = after_a.clone();
+        let gb = combiner.refine_mapped_into(Some(&after_a), &mut after_b, ga, &base_b, &map_b, 3);
+        assert_eq!((gb, &after_b), (g, &chained));
+        assert_eq!(after_a, snapshot);
     }
 
     #[test]

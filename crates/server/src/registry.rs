@@ -71,8 +71,8 @@ pub struct Dataset {
     /// Registry name.
     pub name: String,
     /// The parsed, interned table plus its incrementally-maintained
-    /// confidential statistics. Columns are `Arc`-shared, so snapshot
-    /// clones handed to requests are cheap.
+    /// confidential statistics. `Table` holds plain `Vec` columns, so every
+    /// snapshot handed to a request is a deep copy of the table.
     live: RwLock<LiveTable>,
     /// The spec the dataset was registered with.
     pub spec: Spec,
@@ -85,14 +85,25 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// A snapshot clone of the current table. Cheap (columns are shared);
-    /// requests work against the snapshot so a concurrent `update` never
-    /// mutates a table mid-search.
+    /// A snapshot of the current table: a deep copy of every column and
+    /// dictionary, taken under the read lock. Requests work against the
+    /// snapshot so a concurrent `update` never mutates a table mid-search.
     pub fn table(&self) -> Table {
         self.live
             .read()
             .expect("live table poisoned")
             .table()
+            .clone()
+    }
+
+    /// The current table's schema, cloned under the read lock without
+    /// copying any column.
+    pub fn schema(&self) -> Schema {
+        self.live
+            .read()
+            .expect("live table poisoned")
+            .table()
+            .schema()
             .clone()
     }
 
@@ -579,8 +590,7 @@ impl Registry {
                 continue;
             };
             let replayed = (|| -> Result<(), String> {
-                let table = dataset.table();
-                let appends = parse_cells(table.schema(), &delta.appends)?;
+                let appends = parse_cells(&dataset.schema(), &delta.appends)?;
                 let batch = DeltaBatch {
                     appends,
                     deletes: delta.deletes.clone(),

@@ -1217,10 +1217,7 @@ fn update_op(state: &ServerState, request: &JsonValue, token: &CancelToken) -> O
     if appends.is_empty() && deletes.is_empty() {
         return Err(bad("empty update: provide `appends` and/or `deletes`"));
     }
-    let rows = {
-        let table = dataset.table();
-        parse_cells(table.schema(), &appends).map_err(bad)?
-    };
+    let rows = parse_cells(&dataset.schema(), &appends).map_err(bad)?;
     let batch = DeltaBatch {
         appends: rows,
         deletes,

@@ -6,11 +6,20 @@
 //! (k, p, TS) settings, `EvalContext`/`NodeEvaluator::check` must agree with
 //! `MaskingContext::evaluate` on every reported field: satisfied, stage,
 //! n_groups, violating_tuples, and suppressed.
+//!
+//! A long-lived `NodeEvaluator` resumes each partition from the level
+//! prefix the node shares with the node it partitioned last, so its
+//! verdicts must also not depend on the order it is fed nodes: on the wide
+//! 8-QI Adult lattice, under every model, a mixed sequence of strata,
+//! random nodes, repeats and out-of-lattice nodes must give exactly the
+//! checks a fresh evaluator gives.
 
 use proptest::prelude::*;
-use psens::core::evaluator::EvalContext;
-use psens::core::masking::MaskingContext;
-use psens::core::NoopObserver;
+use psens::core::evaluator::{EvalContext, NodeCheck};
+use psens::core::masking::{MaskOutcome, MaskingContext};
+use psens::core::{check_table_model, CheckStage, GroupCheckMode, ModelSpec, NoopObserver};
+use psens::datasets::hierarchies::adult_wide_qi_space;
+use psens::datasets::AdultGenerator;
 use psens::prelude::*;
 use psens_testkit::spaces::{flat_y_qi_space, wide_qi_space};
 use psens_testkit::tables::{arb_wide_row, build_wide_table, WideRow};
@@ -125,6 +134,171 @@ proptest! {
         let k = t.n_rows() as u32 + 1;
         let ts = t.n_rows();
         assert_paths_agree(&t, &test_qi_space(), k, p, ts)?;
+    }
+}
+
+/// The model a `(kind, param)` draw names: one of each kind the kernel
+/// scans for, the distinct-count models and both histogram models.
+fn drawn_model(kind: u8, param: u32) -> ModelSpec {
+    match kind {
+        0 => ModelSpec::PSensitiveK { p: 1 + param % 3 },
+        1 => ModelSpec::DistinctL { l: 1 + param % 3 },
+        2 => ModelSpec::EntropyL { l: 1 + param % 2 },
+        _ => ModelSpec::TCloseness {
+            t_ppm: 100_000 + param * 800,
+        },
+    }
+}
+
+/// The node order fed to one long-lived evaluator: per pick, a random node
+/// (op 0), the same node twice in a row (op 1) or an out-of-lattice node
+/// (op 2: one level past the top at one attribute). Halfway through comes
+/// one whole stratum in lattice order, then a node one level past the top
+/// at the stratum's last attribute; a node of the wrong length ends it.
+fn mixed_order(lattice: &Lattice, height: usize, picks: &[(prop::sample::Index, u8)]) -> Vec<Node> {
+    let all = lattice.all_nodes();
+    let max = lattice.max_levels();
+    let past_top = |mut node: Node, j: usize| {
+        node.0[j] = max[j] + 1;
+        node
+    };
+    let mut order = Vec::new();
+    for (i, (pick, op)) in picks.iter().enumerate() {
+        if i == picks.len() / 2 {
+            let stratum = lattice.nodes_at_height(height);
+            let last = stratum.last().expect("every height has a node").clone();
+            order.extend(stratum);
+            order.push(past_top(last, max.len() - 1));
+        }
+        let node = all[pick.index(all.len())].clone();
+        match op {
+            0 => order.push(node),
+            1 => order.extend([node.clone(), node]),
+            _ => order.push(past_top(node, pick.index(max.len()))),
+        }
+    }
+    order.push(Node(vec![0; max.len() + 1]));
+    order
+}
+
+/// Asserts that `MaskingContext::evaluate` agrees with a kernel check on
+/// every field it reports. It checks p-sensitivity at the model's
+/// `conditions_p`, which is the distinct-count models' own predicate. A
+/// histogram model's verdict agrees with it up to the k-anonymity stage;
+/// past it, the oracle is the model's check of the materialized release —
+/// except for t-closeness after suppression, since the kernel measures
+/// distance to the whole table's distribution, not the release's.
+fn assert_matches_materialized(
+    fast: &NodeCheck,
+    slow: &MaskOutcome,
+    spec: ModelSpec,
+    k: u32,
+) -> Result<(), TestCaseError> {
+    let setting = format!("{} node={}", spec.describe(), fast.node);
+    prop_assert_eq!(&fast.node, &slow.node, "node: {}", &setting);
+    prop_assert_eq!(
+        fast.violating_tuples,
+        slow.violating_tuples,
+        "violating_tuples: {}",
+        &setting
+    );
+    prop_assert_eq!(fast.suppressed, slow.suppressed, "suppressed: {}", &setting);
+    prop_assert_eq!(fast.n_groups, slow.n_groups, "n_groups: {}", &setting);
+    let model = spec.instantiate();
+    let scanned = matches!(fast.stage, CheckStage::DetailedScan | CheckStage::Passed);
+    match model.mode() {
+        GroupCheckMode::Histogram { needs_global } if scanned => {
+            prop_assert!(
+                matches!(slow.stage, CheckStage::DetailedScan | CheckStage::Passed),
+                "stage: {} slow={:?}",
+                &setting,
+                slow.stage
+            );
+            if !needs_global || fast.suppressed == 0 {
+                let masked = &slow.masked;
+                let oracle = check_table_model(
+                    masked,
+                    &masked.schema().key_indices(),
+                    &masked.schema().confidential_indices(),
+                    model.as_ref(),
+                    k,
+                );
+                prop_assert_eq!(fast.satisfied, oracle.satisfied(), "model: {}", &setting);
+            }
+        }
+        _ => {
+            prop_assert_eq!(fast.stage, slow.stage, "stage: {}", &setting);
+            prop_assert_eq!(fast.satisfied, slow.satisfied, "satisfied: {}", &setting);
+        }
+    }
+    Ok(())
+}
+
+/// Feeds one long-lived evaluator [`mixed_order`] and asserts that every
+/// in-lattice check equals a fresh evaluator's, that every out-of-lattice
+/// node is rejected, and that every 16th step also agrees with the
+/// materializing path.
+fn assert_order_independent(
+    table: &Table,
+    qi: &QiSpace,
+    spec: ModelSpec,
+    k: u32,
+    ts: usize,
+    height: usize,
+    picks: &[(prop::sample::Index, u8)],
+) -> Result<(), TestCaseError> {
+    let ctx = MaskingContext {
+        initial: table,
+        qi,
+        k,
+        p: spec.conditions_p(),
+        ts,
+    };
+    let stats = ctx.initial_stats();
+    let ectx = EvalContext::build(&ctx)
+        .expect("context builds for valid bindings")
+        .with_model(spec);
+    let lattice = qi.lattice();
+    let mut eval = ectx.evaluator();
+    for (step, node) in mixed_order(&lattice, height, picks).iter().enumerate() {
+        let setting = format!("{} k={k} ts={ts} step={step} node={node}", spec.describe());
+        let got = eval.check(node, &stats);
+        if !lattice.contains(node) {
+            prop_assert!(got.is_err(), "out-of-lattice node accepted: {}", &setting);
+            continue;
+        }
+        let got = got.expect("in-lattice nodes check");
+        let fresh = ectx.evaluator().check(node, &stats).expect("fresh check");
+        prop_assert_eq!(&got, &fresh, "long-lived vs fresh: {}", &setting);
+        if step % 16 == 0 {
+            let slow = ctx.evaluate(node, &stats).expect("materializing path");
+            assert_matches_materialized(&got, &slow, spec, k)?;
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The kernel's verdict does not depend on check order: prefix reuse
+    /// across a long-lived evaluator's checks on the 8-QI wide Adult
+    /// lattice (7,776 nodes, height 17) changes no field of any check.
+    #[test]
+    fn kernel_verdict_does_not_depend_on_check_order(
+        seed in 0u64..1_000,
+        rows in 40usize..200,
+        model_kind in 0u8..4,
+        model_param in 0u32..1_000,
+        k in 1u32..6,
+        ts in 0usize..20,
+        height in 0usize..=17,
+        picks in prop::collection::vec((any::<prop::sample::Index>(), 0u8..3), 4..24),
+    ) {
+        let table = AdultGenerator::new(seed).generate_wide(rows);
+        let qi = adult_wide_qi_space();
+        let spec = drawn_model(model_kind, model_param);
+        assert_order_independent(&table, &qi, spec, k, ts, height, &picks)?;
     }
 }
 
