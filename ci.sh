@@ -15,6 +15,26 @@ cargo clippy --all-targets --locked -- -D warnings
 echo "==> cargo build --release"
 cargo build --release --locked
 
+SMOKE_DIR="$(mktemp -d)"
+server_pid=""
+# NB: guard the kill — an unconditional `kill "${server_pid:-0}"` would
+# signal pid 0, i.e. this script's own process group.
+trap 'if [ -n "$server_pid" ]; then kill "$server_pid" 2>/dev/null || true; fi; rm -rf "$SMOKE_DIR"' EXIT
+
+echo "==> examples + experiments: every library surface runs to completion"
+# `cargo test` only compiles the examples. Run every examples/*.rs binary
+# and the `experiments` report, the surfaces that decide whether library
+# code is reachable; csv_pipeline writes under the temp dir, so TMPDIR
+# points into SMOKE_DIR.
+cargo build --release --locked --examples
+for example in examples/*.rs; do
+  name=$(basename "$example" .rs)
+  TMPDIR="$SMOKE_DIR" "target/release/examples/$name" > /dev/null \
+    || { echo "example $name exited nonzero"; exit 1; }
+done
+TMPDIR="$SMOKE_DIR" target/release/experiments > /dev/null \
+  || { echo "experiments exited nonzero"; exit 1; }
+
 echo "==> cargo test"
 cargo test -q --locked
 
@@ -24,12 +44,6 @@ echo "==> benchmark crate tests (compiles it against the workspace crates)"
 # when the benchmark runs.
 CARGO_TARGET_DIR=.bench_build \
   cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml
-
-SMOKE_DIR="$(mktemp -d)"
-server_pid=""
-# NB: guard the kill — an unconditional `kill "${server_pid:-0}"` would
-# signal pid 0, i.e. this script's own process group.
-trap 'if [ -n "$server_pid" ]; then kill "$server_pid" 2>/dev/null || true; fi; rm -rf "$SMOKE_DIR"' EXIT
 
 echo "==> benchmark --quick: every benchmark correctness gate on tiny inputs"
 # Wire verdicts against in-process searches on the 8-QI cold-search table,
@@ -403,8 +417,9 @@ echo "==> guard: every committed .proptest-regressions file replays green"
 # the recorded counterexamples then never replay again and a revived bug
 # rides in unnoticed. Re-run the owning test target for every committed
 # regressions file; an orphan fails loudly because the target no longer
-# exists. (The full-suite `cargo test` above already replayed them once;
-# this stage pins the file-to-target correspondence.)
+# exists, and the proptest stand-in panics on a `cc` seed it cannot replay.
+# (The full-suite `cargo test` above already replayed them once; this stage
+# pins the file-to-target correspondence.)
 find . -name '*.proptest-regressions' -not -path './target/*' | while read -r reg; do
   name=$(basename "$reg" .proptest-regressions)
   case "$reg" in

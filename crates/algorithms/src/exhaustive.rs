@@ -74,7 +74,7 @@ pub fn exhaustive_scan<O: SearchObserver>(
     req: &SearchRequest<'_>,
     observer: &O,
 ) -> Result<ExhaustiveOutcome, psens_hierarchy::Error> {
-    let setup = Setup::new(initial, qi, req);
+    let setup = Setup::new(initial, qi, req)?;
     // Code-mapped kernel: hoist per-(attribute, level) code maps out of the
     // scan, then check each node on u32 vectors — no table materialization.
     let ectx = setup.eval_context(observer)?;

@@ -63,7 +63,7 @@ pub fn levelwise_minimal<O: SearchObserver>(
     req: &SearchRequest<'_>,
     observer: &O,
 ) -> Result<LevelWiseOutcome, psens_hierarchy::Error> {
-    let setup = Setup::new(initial, qi, req);
+    let setup = Setup::new(initial, qi, req)?;
     let check_stats = &*setup.check_stats;
     let tuning = req.tuning;
     let lattice = &setup.lattice;

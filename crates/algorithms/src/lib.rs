@@ -11,24 +11,19 @@
 //! - [`exhaustive`]: full lattice scan, serial or across scoped threads;
 //!   exact set of minimal generalizations (reproduces Table 4) and per-node
 //!   violation annotations (Figure 3).
-//! - [`levelwise`]: bottom-up search with rollup pruning; finds all minimal
-//!   nodes without scanning the whole lattice.
-//! - [`incognito`]: the full Incognito algorithm [12] — Apriori pruning
-//!   through attribute-subset lattices plus rollup, extended with the
-//!   p-sensitivity check at the full-QI stage.
+//! - [`levelwise`]: bottom-up search with Incognito's rollup pruning [12];
+//!   finds all minimal nodes without scanning the whole lattice.
 //! - [`mondrian`]: multidimensional local-recoding baseline extended with
 //!   the p-sensitivity constraint.
 //! - [`pram_backend`]: greedy PRAM repair — find the k-minimal node, then
 //!   re-randomise confidential cells inside failing groups instead of
 //!   climbing the lattice further (diversity-style models only).
-//! - [`greedy_cluster`]: the authors' follow-up GreedyPKClustering — record
-//!   clustering under the joint size/sensitivity constraint with local
-//!   recoding.
 //!
-//! The four lattice searches share one request type, [`SearchRequest`]:
-//! each has a single entry point `(table, qi, &SearchRequest, &observer)`.
-//! Mondrian and greedy clustering, which do not search a lattice, take
-//! their own config plus a [`psens_core::SearchBudget`] and an observer.
+//! The three lattice searches share one request type, [`SearchRequest`]:
+//! each has a single entry point `(table, qi, &SearchRequest, &observer)`,
+//! and each rejects a QI space that names an attribute without the `Key`
+//! role. Mondrian, which does not search a lattice, takes its own config
+//! plus a [`psens_core::SearchBudget`] and an observer.
 //!
 //! ## Example
 //!
@@ -53,8 +48,6 @@
 #![warn(missing_docs)]
 
 pub mod exhaustive;
-pub mod greedy_cluster;
-pub mod incognito;
 pub mod levelwise;
 pub mod mondrian;
 pub mod pram_backend;
@@ -67,10 +60,6 @@ mod stratum;
 pub mod tuning;
 
 pub use exhaustive::{exhaustive_scan, ExhaustiveOutcome};
-pub use greedy_cluster::{
-    greedy_pk_cluster, ClusterError, GreedyClusterConfig, GreedyClusterOutcome,
-};
-pub use incognito::{incognito_minimal, IncognitoOutcome, IncognitoStats};
 pub use levelwise::{levelwise_minimal, LevelWiseOutcome};
 pub use mondrian::{mondrian_anonymize, MondrianConfig, MondrianOutcome};
 pub use pram_backend::{pram_minimal_masking, PramBackendConfig, PramBackendError, PramOutcome};

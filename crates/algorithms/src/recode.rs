@@ -1,6 +1,5 @@
-//! Local recoding shared by the partition-based algorithms (Mondrian,
-//! greedy p-k clustering): replace each partition's key values by a label
-//! describing the partition's extent.
+//! Mondrian's local recoding: replace each partition's key values by a
+//! label describing the partition's extent.
 
 use psens_microdata::{Attribute, CatColumn, Column, Kind, Schema, Table, Value};
 
@@ -11,7 +10,7 @@ use psens_microdata::{Attribute, CatColumn, Column, Kind, Schema, Table, Value};
 /// Rebuilding the schema and table cannot fail for well-formed inputs
 /// (names and row counts are unchanged), but the error is propagated rather
 /// than unwrapped so a malformed table surfaces as an `Err` instead of a
-/// panic inside the partition algorithms.
+/// panic inside Mondrian.
 pub(crate) fn recode_partitions(
     table: &Table,
     keys: &[usize],

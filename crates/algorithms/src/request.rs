@@ -1,14 +1,14 @@
 //! The one request every lattice search takes, and the set-up they share.
 //!
 //! [`crate::samarati::pk_minimal_generalization`],
-//! [`crate::exhaustive::exhaustive_scan`],
-//! [`crate::levelwise::levelwise_minimal`] and
-//! [`crate::incognito::incognito_minimal`] each have a single entry point
+//! [`crate::exhaustive::exhaustive_scan`] and
+//! [`crate::levelwise::levelwise_minimal`] each have a single entry point
 //! `(table, qi, &SearchRequest, &observer)`. A request names the privacy
 //! model, `k` and the suppression threshold, and carries the optional knobs
 //! with defaults that reproduce the paper's Algorithm 3: necessary-condition
 //! pruning, no budget, one thread, no verdict store, statistics computed from
-//! the table.
+//! the table. Every search first checks that the QI space names key
+//! attributes of the table only, whatever the request.
 
 use crate::samarati::Pruning;
 use crate::stats::SearchStats;
@@ -91,7 +91,14 @@ pub(crate) struct Setup<'s> {
 }
 
 impl<'s> Setup<'s> {
-    pub fn new(initial: &'s Table, qi: &'s QiSpace, req: &'s SearchRequest<'s>) -> Self {
+    /// Fails with [`QiSpace::check_keys`]'s error before any other work, so
+    /// a search that Condition 1 settles still rejects an invalid QI space.
+    pub fn new(
+        initial: &'s Table,
+        qi: &'s QiSpace,
+        req: &'s SearchRequest<'s>,
+    ) -> Result<Self, psens_hierarchy::Error> {
+        qi.check_keys(initial.schema())?;
         // Every model's group verdict implies p-sensitivity at
         // `conditions_p`, which is what keeps Conditions 1–2 sound for it.
         let ctx = MaskingContext {
@@ -110,12 +117,12 @@ impl<'s> Setup<'s> {
             (Pruning::NecessaryConditions, Some(stats)) => Cow::Borrowed(stats),
             (Pruning::NecessaryConditions, None) => Cow::Owned(ctx.initial_stats()),
         };
-        Setup {
+        Ok(Setup {
             req,
             ctx,
             check_stats,
             lattice: qi.lattice(),
-        }
+        })
     }
 
     /// Whether Condition 1 proves that no node can satisfy the request.

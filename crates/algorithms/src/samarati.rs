@@ -105,7 +105,7 @@ pub fn pk_minimal_generalization<O: SearchObserver>(
     req: &SearchRequest<'_>,
     observer: &O,
 ) -> Result<SearchOutcome, psens_hierarchy::Error> {
-    let setup = Setup::new(initial, qi, req);
+    let setup = Setup::new(initial, qi, req)?;
     let mut stats = setup.stats();
     let lattice = &setup.lattice;
 

@@ -12,8 +12,8 @@
 //! per second), so [`BudgetState::admit`] keeps the per-node cost to one
 //! relaxed atomic increment and two predictable branches, polling the clock
 //! and the cancel flag only every [`SearchBudget::check_interval`] nodes.
-//! Coarse-grained algorithms (Mondrian splits, cluster growth), whose units
-//! cost milliseconds each, use [`BudgetState::admit_coarse`] and poll every
+//! Coarse-grained work (Mondrian's split attempts), whose units cost
+//! milliseconds each, use [`BudgetState::admit_coarse`] and poll every
 //! time. The node budget itself is enforced exactly on every admission —
 //! `max_nodes = N` admits exactly `N` units, even across threads.
 
@@ -129,8 +129,8 @@ impl std::fmt::Display for Termination {
 pub struct SearchBudget {
     /// Absolute wall-clock deadline.
     pub deadline: Option<Instant>,
-    /// Maximum number of work units (lattice node checks, subset frequency
-    /// sets, Mondrian split attempts, cluster-growth steps) to admit.
+    /// Maximum number of work units (lattice node checks, Mondrian split
+    /// attempts) to admit.
     pub max_nodes: Option<u64>,
     /// Cooperative cancellation flag.
     pub cancel: Option<CancelToken>,
@@ -258,8 +258,7 @@ impl BudgetState {
         Ok(())
     }
 
-    /// Admits one coarse work unit (a Mondrian split attempt, one
-    /// cluster-growth step): like [`Self::admit`] but polls the clock and
+    /// Admits one coarse work unit (a Mondrian split attempt): like [`Self::admit`] but polls the clock and
     /// cancel flag on every call — coarse units cost enough that the poll
     /// is free and promptness matters more than throughput.
     pub fn admit_coarse(&self) -> Result<(), Termination> {

@@ -12,6 +12,13 @@
 //! - dense codes of key attributes outside the QI space (node-invariant),
 //! - dense codes of the confidential attributes.
 //!
+//! The QI space holds key attributes only, as in the paper: QI-groups form
+//! over the key attributes, and Definition 2 counts confidential values per
+//! group without recoding them. [`EvalContext::build`] rejects a QI space
+//! that names an attribute of any other role with `Error::Invalid`
+//! ([`psens_hierarchy::QiSpace::check_keys`]), so confidential codes never
+//! depend on the node.
+//!
 //! Per node, a [`NodeEvaluator`] then runs the whole of Algorithm 2 —
 //! Condition 1 → Condition 2 → k-anonymity → per-group
 //! `COUNT(DISTINCT S_j)` — plus suppression simulation as integer passes:
@@ -43,19 +50,9 @@ use crate::model::{CodeDistribution, GroupCheckMode, ModelDetail, ModelSpec, Pri
 use crate::observe::{elapsed_since, start_timer, SearchObserver};
 use crate::verdict::{Verdict, VerdictStore};
 use psens_hierarchy::{Error, Node, QiCodeMaps};
-use psens_microdata::{CodeCombiner, Role};
+use psens_microdata::CodeCombiner;
 use std::ops::ControlFlow;
 use std::sync::Arc;
-
-/// Where a confidential attribute's per-row codes come from.
-#[derive(Debug, Clone)]
-enum ConfSource {
-    /// Outside the QI space: node-invariant dense codes.
-    Static(Vec<u32>, u32),
-    /// Inside the QI space (index into the code maps): the column is
-    /// generalized with the node, so its codes go through the level map.
-    Mapped(usize),
-}
 
 /// Everything node-invariant about one (table, QI space, k, p, TS) search —
 /// built once, shared (it is `Sync`) by every node check.
@@ -66,24 +63,18 @@ pub struct EvalContext {
     p: u32,
     ts: usize,
     maps: QiCodeMaps,
-    /// Whether the `i`-th QI attribute has the `Key` role (participates in
-    /// the QI grouping; a QI-space attribute with another role is
-    /// generalized but not grouped on, matching `Schema::key_indices`).
-    qi_is_key: Vec<bool>,
     /// Dense codes of key attributes outside the QI space (always grouped
     /// at ground level).
     static_keys: Vec<(Vec<u32>, u32)>,
-    /// Confidential attributes, in masked-schema order.
-    conf: Vec<ConfSource>,
+    /// Dense codes of the confidential attributes, in masked-schema order.
+    conf: Vec<(Vec<u32>, u32)>,
     /// The privacy model the detailed scan enforces. Defaults to
     /// p-sensitive k-anonymity with the context's `p`, which reproduces
     /// the historical checker verdict-for-verdict; [`Self::with_model`]
     /// swaps in another model.
     model: Arc<dyn PrivacyModel>,
     /// Whole-table code distribution per confidential attribute, computed
-    /// only when the model needs it (t-closeness) and only for static
-    /// sources — a QI-mapped confidential column's distribution depends on
-    /// the node and is tallied per check.
+    /// only when the model needs it (t-closeness).
     globals: Vec<Option<CodeDistribution>>,
 }
 
@@ -140,38 +131,27 @@ pub struct CacheCheck {
 }
 
 impl EvalContext {
-    /// Precomputes the kernel inputs for `ctx`. Fails exactly where
+    /// Precomputes the kernel inputs for `ctx`. Fails with `Error::Invalid`
+    /// naming a QI attribute whose role is not `Key`
+    /// ([`psens_hierarchy::QiSpace::check_keys`]), and wherever
     /// `ctx.evaluate` would fail for table/hierarchy reasons (unknown QI
     /// attribute, kind mismatch, value outside a hierarchy's domain) — so a
     /// successful build means every in-lattice node check succeeds.
     pub fn build(ctx: &MaskingContext<'_>) -> Result<EvalContext> {
         let schema = ctx.initial.schema();
+        ctx.qi.check_keys(schema)?;
         let qi_names = ctx.qi.names();
         let maps = ctx.qi.code_maps(ctx.initial)?;
-        let mut qi_is_key = Vec::with_capacity(qi_names.len());
-        for &name in &qi_names {
-            let idx = schema.index_of(name).map_err(Error::from)?;
-            qi_is_key.push(schema.attribute(idx).role() == Role::Key);
-        }
         let static_keys = schema
             .key_indices()
             .into_iter()
             .filter(|&i| !qi_names.contains(&schema.attribute(i).name()))
             .map(|i| ctx.initial.column(i).dense_codes())
             .collect();
-        let conf: Vec<ConfSource> = schema
+        let conf: Vec<(Vec<u32>, u32)> = schema
             .confidential_indices()
             .into_iter()
-            .map(|i| {
-                let name = schema.attribute(i).name();
-                match qi_names.iter().position(|&q| q == name) {
-                    Some(qi_idx) => ConfSource::Mapped(qi_idx),
-                    None => {
-                        let (codes, n_codes) = ctx.initial.column(i).dense_codes();
-                        ConfSource::Static(codes, n_codes)
-                    }
-                }
-            })
+            .map(|i| ctx.initial.column(i).dense_codes())
             .collect();
         let n_conf = conf.len();
         Ok(EvalContext {
@@ -180,7 +160,6 @@ impl EvalContext {
             p: ctx.p,
             ts: ctx.ts,
             maps,
-            qi_is_key,
             static_keys,
             conf,
             model: ModelSpec::PSensitiveK { p: ctx.p }.instantiate(),
@@ -192,8 +171,7 @@ impl EvalContext {
     /// `p` becomes the model's [`ModelSpec::conditions_p`], so Conditions
     /// 1–2 keep acting as necessary conditions for the new model, and —
     /// when the model compares distributions — the whole-table code
-    /// distribution of every static confidential attribute is tallied
-    /// once here.
+    /// distribution of every confidential attribute is tallied once here.
     pub fn with_model(mut self, spec: ModelSpec) -> EvalContext {
         let model = spec.instantiate();
         self.p = model.conditions_p();
@@ -204,20 +182,12 @@ impl EvalContext {
         self.globals = self
             .conf
             .iter()
-            .map(|source| match source {
-                ConfSource::Static(codes, n_codes) if needs_global => Some(
-                    CodeDistribution::from_codes(codes.iter().copied(), *n_codes),
-                ),
-                _ => None,
+            .map(|(codes, n_codes)| {
+                needs_global.then(|| CodeDistribution::from_codes(codes.iter().copied(), *n_codes))
             })
             .collect();
         self.model = model;
         self
-    }
-
-    /// The model the detailed scan enforces.
-    pub fn model(&self) -> &Arc<dyn PrivacyModel> {
-        &self.model
     }
 
     /// [`Self::build`], reporting the cache-build cost to `observer`. With a
@@ -274,8 +244,7 @@ impl EvalContext {
 
     /// Writes into `out` the refinement of `prev` (`None`: the one-group
     /// partition, `n_groups` 1 or 0) by QI attribute `i` at `level`;
-    /// returns the refined group count. A QI attribute without the `Key`
-    /// role does not group, so `prev` is copied through unchanged.
+    /// returns the refined group count.
     fn refine_qi(
         &self,
         combiner: &mut CodeCombiner,
@@ -285,13 +254,6 @@ impl EvalContext {
         out: &mut [u32],
         n_groups: u32,
     ) -> u32 {
-        if !self.qi_is_key[i] {
-            match prev {
-                Some(prev) => out.copy_from_slice(prev),
-                None => out.fill(0),
-            }
-            return n_groups;
-        }
         let attr = self.maps.attr(i);
         let lm = attr.level(level as usize);
         combiner.refine_mapped_into(prev, out, n_groups, attr.base(), lm.map(), lm.n_codes())
@@ -402,12 +364,10 @@ impl NodeEvaluator<'_> {
         }
         let (scan_ok, detail) = match ctx.model.mode() {
             GroupCheckMode::Distinct { target } => (
-                self.detailed_scan_passes(node, n_groups, suppression, target),
+                self.detailed_scan_passes(n_groups, suppression, target),
                 None,
             ),
-            GroupCheckMode::Histogram { needs_global } => {
-                self.histogram_scan(node, n_groups, suppression, needs_global)
-            }
+            GroupCheckMode::Histogram { .. } => self.histogram_scan(n_groups, suppression),
         };
         if !scan_ok {
             return Ok(check(
@@ -612,54 +572,25 @@ impl NodeEvaluator<'_> {
     /// Stage 4 for distinct-count models: per-group
     /// `COUNT(DISTINCT S_j) >= target` for every confidential attribute,
     /// over the groups surviving suppression.
-    fn detailed_scan_passes(
-        &mut self,
-        node: &Node,
-        n_groups: u32,
-        suppression: bool,
-        target: u32,
-    ) -> bool {
+    fn detailed_scan_passes(&mut self, n_groups: u32, suppression: bool, target: u32) -> bool {
         let ctx = self.ctx;
         if ctx.conf.is_empty() || n_groups == 0 {
             return true;
         }
         self.order_rows(n_groups);
-        for source in &ctx.conf {
-            let passes = match source {
-                ConfSource::Static(codes, n_codes) => Self::attr_passes(
-                    &self.ordered,
-                    &self.offsets,
-                    &self.sizes,
-                    &mut self.stamp,
-                    ctx.k,
-                    target,
-                    suppression,
-                    *n_codes,
-                    |row| codes[row],
-                ),
-                ConfSource::Mapped(qi_idx) => {
-                    let attr = ctx.maps.attr(*qi_idx);
-                    let lm = attr.level(node.levels()[*qi_idx] as usize);
-                    let base = attr.base();
-                    let map = lm.map();
-                    Self::attr_passes(
-                        &self.ordered,
-                        &self.offsets,
-                        &self.sizes,
-                        &mut self.stamp,
-                        ctx.k,
-                        target,
-                        suppression,
-                        lm.n_codes(),
-                        |row| map[base[row] as usize],
-                    )
-                }
-            };
-            if !passes {
-                return false;
-            }
-        }
-        true
+        ctx.conf.iter().all(|(codes, n_codes)| {
+            Self::attr_passes(
+                &self.ordered,
+                &self.offsets,
+                &self.sizes,
+                &mut self.stamp,
+                ctx.k,
+                target,
+                suppression,
+                *n_codes,
+                codes,
+            )
+        })
     }
 
     /// Stage 4 for histogram models: builds each surviving group's code
@@ -668,13 +599,7 @@ impl NodeEvaluator<'_> {
     /// [`ModelDetail`] is deterministic; a failing attribute still stops
     /// the remaining attributes. Returns the stage verdict plus the detail
     /// payload folded over everything scanned.
-    fn histogram_scan(
-        &mut self,
-        node: &Node,
-        n_groups: u32,
-        suppression: bool,
-        needs_global: bool,
-    ) -> (bool, Option<ModelDetail>) {
+    fn histogram_scan(&mut self, n_groups: u32, suppression: bool) -> (bool, Option<ModelDetail>) {
         let ctx = self.ctx;
         if ctx.conf.is_empty() || n_groups == 0 {
             return (true, None);
@@ -683,65 +608,24 @@ impl NodeEvaluator<'_> {
         let mut min_metric = u64::MAX;
         let mut max_metric = 0u64;
         let mut any = false;
-        for (ci, source) in ctx.conf.iter().enumerate() {
-            // A QI-mapped confidential column's code space depends on the
-            // node's level, so its whole-table distribution is tallied
-            // here; static columns were tallied once in `with_model`.
-            let mapped_global: Option<CodeDistribution> = match source {
-                ConfSource::Mapped(qi_idx) if needs_global => {
-                    let attr = ctx.maps.attr(*qi_idx);
-                    let lm = attr.level(node.levels()[*qi_idx] as usize);
-                    let map = lm.map();
-                    Some(CodeDistribution::from_codes(
-                        attr.base().iter().map(|&b| map[b as usize]),
-                        lm.n_codes(),
-                    ))
-                }
-                _ => None,
-            };
-            let global = mapped_global.as_ref().or(ctx.globals[ci].as_ref());
-            let passes = match source {
-                ConfSource::Static(codes, n_codes) => Self::attr_histograms(
-                    &self.ordered,
-                    &self.offsets,
-                    &self.sizes,
-                    &mut self.stamp,
-                    &mut self.hist,
-                    &mut self.counts_buf,
-                    ctx.k,
-                    suppression,
-                    *n_codes,
-                    |row| codes[row],
-                    ctx.model.as_ref(),
-                    global,
-                    &mut min_metric,
-                    &mut max_metric,
-                    &mut any,
-                ),
-                ConfSource::Mapped(qi_idx) => {
-                    let attr = ctx.maps.attr(*qi_idx);
-                    let lm = attr.level(node.levels()[*qi_idx] as usize);
-                    let base = attr.base();
-                    let map = lm.map();
-                    Self::attr_histograms(
-                        &self.ordered,
-                        &self.offsets,
-                        &self.sizes,
-                        &mut self.stamp,
-                        &mut self.hist,
-                        &mut self.counts_buf,
-                        ctx.k,
-                        suppression,
-                        lm.n_codes(),
-                        |row| map[base[row] as usize],
-                        ctx.model.as_ref(),
-                        global,
-                        &mut min_metric,
-                        &mut max_metric,
-                        &mut any,
-                    )
-                }
-            };
+        for ((codes, n_codes), global) in ctx.conf.iter().zip(&ctx.globals) {
+            let passes = Self::attr_histograms(
+                &self.ordered,
+                &self.offsets,
+                &self.sizes,
+                &mut self.stamp,
+                &mut self.hist,
+                &mut self.counts_buf,
+                ctx.k,
+                suppression,
+                *n_codes,
+                codes,
+                ctx.model.as_ref(),
+                global.as_ref(),
+                &mut min_metric,
+                &mut max_metric,
+                &mut any,
+            );
             if !passes {
                 return (
                     false,
@@ -766,7 +650,7 @@ impl NodeEvaluator<'_> {
         p: u32,
         suppression: bool,
         n_codes: u32,
-        code_of_row: impl Fn(usize) -> u32,
+        codes: &[u32],
     ) -> bool {
         stamp.clear();
         stamp.resize(n_codes as usize, u32::MAX);
@@ -776,7 +660,7 @@ impl NodeEvaluator<'_> {
             }
             let mut distinct = 0u32;
             for &row in &ordered[offsets[g]..offsets[g + 1]] {
-                let code = code_of_row(row as usize);
+                let code = codes[row as usize];
                 if stamp[code as usize] != g as u32 {
                     stamp[code as usize] = g as u32;
                     distinct += 1;
@@ -808,7 +692,7 @@ impl NodeEvaluator<'_> {
         k: u32,
         suppression: bool,
         n_codes: u32,
-        code_of_row: impl Fn(usize) -> u32,
+        codes: &[u32],
         model: &dyn PrivacyModel,
         global: Option<&CodeDistribution>,
         min_metric: &mut u64,
@@ -826,7 +710,7 @@ impl NodeEvaluator<'_> {
             }
             counts_buf.clear();
             for &row in &ordered[offsets[g]..offsets[g + 1]] {
-                let code = code_of_row(row as usize);
+                let code = codes[row as usize];
                 if stamp[code as usize] != g as u32 {
                     stamp[code as usize] = g as u32;
                     hist[code as usize] = 0;
@@ -936,48 +820,37 @@ mod tests {
         }
     }
 
-    /// QI attributes without the `Key` role are generalized but not
-    /// grouped on: the identifier first (no prefix before it) and the
-    /// confidential attribute between two keys (its prefix copies the one
-    /// before). One evaluator checks the whole lattice in order.
+    /// The QI space is key-only: an identifier or a confidential attribute
+    /// inside it is rejected up front with `Error::Invalid` naming it, the
+    /// way an out-of-lattice node is.
     #[test]
-    fn non_key_qi_attributes_agree_with_materializing_evaluate() {
+    fn non_key_qi_attributes_are_rejected() {
         let t = table();
         let names: Vec<String> = (0..10).map(|i| format!("n{i}")).collect();
-        let qi = QiSpace::new(vec![
-            ("Name".into(), flat_hierarchy(names).unwrap()),
-            ("Sex".into(), flat_hierarchy(vec!["M", "F"]).unwrap()),
+        let cases = [
+            ("Name", flat_hierarchy(names).unwrap()),
             (
-                "Illness".into(),
+                "Illness",
                 flat_hierarchy(vec!["Flu", "HIV", "Asthma"]).unwrap(),
             ),
-            ("ZipCode".into(), zip_hierarchy()),
-        ])
-        .unwrap();
-        for (k, p, ts) in [(1u32, 1u32, 0usize), (2, 2, 2), (3, 2, 7)] {
+        ];
+        for (name, hierarchy) in cases {
+            let qi = QiSpace::new(vec![
+                ("Sex".into(), flat_hierarchy(vec!["M", "F"]).unwrap()),
+                (name.into(), hierarchy),
+                ("ZipCode".into(), zip_hierarchy()),
+            ])
+            .unwrap();
             let ctx = MaskingContext {
                 initial: &t,
                 qi: &qi,
-                k,
-                p,
-                ts,
+                k: 2,
+                p: 2,
+                ts: 0,
             };
-            let stats = ctx.initial_stats();
-            let ectx = EvalContext::build(&ctx).unwrap();
-            let mut eval = ectx.evaluator();
-            for node in qi.lattice().all_nodes() {
-                let slow = ctx.evaluate(&node, &stats).unwrap();
-                let fast = eval.check(&node, &stats).unwrap();
-                assert_eq!(
-                    (fast.satisfied, fast.stage, fast.n_groups),
-                    (slow.satisfied, slow.stage, slow.n_groups),
-                    "k={k} p={p} ts={ts} node={node}"
-                );
-                assert_eq!(
-                    (fast.violating_tuples, fast.suppressed),
-                    (slow.violating_tuples, slow.suppressed),
-                    "k={k} p={p} ts={ts} node={node}"
-                );
+            match EvalContext::build(&ctx) {
+                Err(Error::Invalid(msg)) => assert!(msg.contains(name), "{msg}"),
+                other => panic!("{name} in the QI space: expected Error::Invalid, got {other:?}"),
             }
         }
     }

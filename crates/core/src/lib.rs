@@ -21,9 +21,9 @@
 //! | [`conditions`] | Conditions 1–2, Tables 5–6, Example 1 |
 //! | [`checker`] | Algorithm 2 (improved check) |
 //! | [`theorems`] | Theorems 1–2 (reuse of `maxP`/`maxGroups`) |
-//! | [`suppress`] | tuple suppression with threshold TS, plus cell-level local suppression |
+//! | [`suppress`] | tuple suppression with threshold TS |
 //! | [`masking`] | generalize → suppress → check pipeline |
-//! | [`evaluator`] | code-mapped node-evaluation kernel (no table materialization) |
+//! | [`evaluator`] | code-mapped node-evaluation kernel over key-only QI spaces (no table materialization) |
 //! | [`observe`] | zero-cost search telemetry (per-stage timings, Tables 7–8 inputs) |
 //! | [`budget`] | search budgets, cancellation, anytime [`Termination`] verdicts |
 //! | [`disclosure`] | identity/attribute disclosure counts (Table 8) |
@@ -105,8 +105,5 @@ pub use psensitive::{
     check_p_sensitivity, group_profiles, is_p_sensitive_k_anonymous, max_p_of_masked, GroupProfile,
     PSensitivityReport, SensitivityViolation,
 };
-pub use suppress::{
-    locally_suppress_to_k, suppress_to_k, suppress_within_threshold, LocalSuppressionResult,
-    SuppressionResult,
-};
+pub use suppress::{suppress_to_k, suppress_within_threshold, SuppressionResult};
 pub use verdict::{Invalidation, InvalidationOutcome, Verdict, VerdictStore};

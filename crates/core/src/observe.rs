@@ -99,8 +99,7 @@ pub trait SearchObserver: Sync {
         let _ = elapsed;
     }
 
-    /// A partition-style algorithm (mondrian, greedy clustering) finalized
-    /// one output group of `rows` rows.
+    /// Mondrian finalized one output partition of `rows` rows.
     fn partition_finalized(&self, rows: usize, elapsed: Duration) {
         let _ = (rows, elapsed);
     }

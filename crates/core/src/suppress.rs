@@ -61,86 +61,6 @@ fn remove_small_groups(table: &Table, groups: &GroupBy, k: u32) -> SuppressionRe
     }
 }
 
-/// Result of cell-level (local) suppression.
-#[derive(Debug, Clone)]
-pub struct LocalSuppressionResult {
-    /// The table with offending key cells blanked to missing.
-    pub table: Table,
-    /// Number of individual cells suppressed.
-    pub cells_suppressed: usize,
-    /// Number of rounds the greedy loop ran.
-    pub rounds: usize,
-}
-
-/// Cell-level (local) suppression: instead of deleting tuples in undersized
-/// QI-groups, blank their key-attribute cells until k-anonymity holds.
-///
-/// The paper lists "local suppression" [19, 13] among the masking methods;
-/// this greedy variant repeatedly picks, among the violating tuples, the key
-/// attribute with the most distinct values (the most distinguishing one),
-/// blanks it for all violating tuples, and regroups. Missing cells compare
-/// equal to each other, so fully-blanked tuples pool into one group; the
-/// loop always terminates because each round either reaches k-anonymity or
-/// strictly reduces the remaining distinguishing cells.
-///
-/// Returns `None` when even blanking every key cell of every violating tuple
-/// cannot reach k-anonymity (fewer than `k` violating tuples pooled
-/// together) — callers should fall back to [`suppress_to_k`].
-pub fn locally_suppress_to_k(
-    table: &Table,
-    keys: &[usize],
-    k: u32,
-) -> Option<LocalSuppressionResult> {
-    let mut current = table.clone();
-    let mut cells = 0usize;
-    let mut rounds = 0usize;
-    loop {
-        let groups = GroupBy::compute(&current, keys);
-        let violating = groups.small_group_rows(k);
-        if violating.is_empty() {
-            return Some(LocalSuppressionResult {
-                table: current,
-                cells_suppressed: cells,
-                rounds,
-            });
-        }
-        rounds += 1;
-        // Pick the key attribute that still distinguishes the violating
-        // tuples the most: the one with the most distinct *present* values
-        // among them.
-        let mut best: Option<(usize, usize)> = None; // (attr, distinct)
-        for &attr in keys {
-            let column = current.column(attr);
-            let mut seen = std::collections::HashSet::new();
-            let mut present = 0usize;
-            for &row in &violating {
-                let value = column.value(row);
-                if !value.is_missing() {
-                    present += 1;
-                    seen.insert(value);
-                }
-            }
-            if present > 0 {
-                let distinct = seen.len();
-                if best.is_none_or(|(_, d)| distinct > d) {
-                    best = Some((attr, distinct));
-                }
-            }
-        }
-        let Some((attr, _)) = best else {
-            // Every key cell of every violating tuple is already missing:
-            // they form one pooled group smaller than k. Unreachable via
-            // further local suppression.
-            return None;
-        };
-        let blanked = current.column(attr).with_missing(&violating);
-        current = current
-            .with_column_replaced(attr, blanked)
-            .expect("same kind and length");
-        cells += violating.len();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,46 +128,6 @@ mod tests {
         let ok = suppress_within_threshold(&t, &[0, 1], 2, 6).unwrap();
         assert_eq!(ok.removed, 6);
         assert!(is_k_anonymous(&ok.table, &[0, 1], 2));
-    }
-
-    #[test]
-    fn local_suppression_reaches_k_without_deleting_rows() {
-        let t = figure3();
-        let result = locally_suppress_to_k(&t, &[0, 1], 2).expect("achievable");
-        assert_eq!(result.table.n_rows(), 10, "no tuples deleted");
-        assert!(is_k_anonymous(&result.table, &[0, 1], 2));
-        assert!(result.cells_suppressed > 0);
-        assert!(result.rounds >= 1);
-        // Strictly fewer cells lost than row suppression would cost:
-        // deleting 6 tuples destroys 12 cells.
-        assert!(result.cells_suppressed < 12, "{}", result.cells_suppressed);
-    }
-
-    #[test]
-    fn local_suppression_noop_when_anonymous() {
-        let t = figure3();
-        let result = locally_suppress_to_k(&t, &[0, 1], 1).unwrap();
-        assert_eq!(result.cells_suppressed, 0);
-        assert_eq!(result.rounds, 0);
-        assert_eq!(result.table, t);
-    }
-
-    #[test]
-    fn local_suppression_reports_unreachable_k() {
-        // A single tuple can never reach 2-anonymity by blanking cells
-        // (the pooled missing group has size 1).
-        let t = figure3().take(&[0]);
-        assert!(locally_suppress_to_k(&t, &[0, 1], 2).is_none());
-    }
-
-    #[test]
-    fn local_suppression_pools_fully_blanked_rows() {
-        // Three mutually distinct tuples: blanking both key cells pools
-        // them into one group of 3 >= 2.
-        let t = figure3().take(&[1, 7, 8]);
-        let result = locally_suppress_to_k(&t, &[0, 1], 3).expect("achievable by pooling");
-        assert!(is_k_anonymous(&result.table, &[0, 1], 3));
-        assert_eq!(result.table.n_rows(), 3);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::error::{Error, Result};
 use crate::hierarchy::Hierarchy;
 use crate::lattice::{Lattice, Node};
-use psens_microdata::{Attribute, Kind, Schema, Table};
+use psens_microdata::{Attribute, Kind, Role, Schema, Table};
 
 /// The quasi-identifier space: an ordered list of key attributes, each with
 /// its generalization hierarchy. The order fixes the meaning of lattice node
@@ -90,6 +90,23 @@ impl QiSpace {
                 return Err(Error::Invalid(format!(
                     "node {node} is outside the {}-attribute lattice",
                     self.len()
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks that every QI attribute exists in `schema` with the `Key`
+    /// role. QI-groups form over the key attributes, and Definition 2
+    /// counts confidential values per group without recoding them, so a
+    /// QI space that would generalize an identifier, confidential or other
+    /// attribute is an `Error::Invalid` naming it.
+    pub fn check_keys(&self, schema: &Schema) -> Result<()> {
+        for (name, _) in &self.entries {
+            let role = schema.attribute(schema.index_of(name)?).role();
+            if role != Role::Key {
+                return Err(Error::Invalid(format!(
+                    "QI attribute `{name}` has the {role} role; a QI space holds key attributes only"
                 )));
             }
         }
@@ -242,6 +259,33 @@ mod tests {
     fn missing_qi_attribute_in_table_errors() {
         let qi = QiSpace::new(vec![("Height".into(), age_hierarchy())]).unwrap();
         assert!(qi.apply(&table(), &Node(vec![1])).is_err());
+    }
+
+    #[test]
+    fn check_keys_accepts_key_attributes_only() {
+        let schema = table().schema().clone();
+        assert_eq!(qi_space().check_keys(&schema), Ok(()));
+        let illness = Hierarchy::Cat(
+            CatHierarchy::identity(["Flu", "HIV", "Asthma"])
+                .unwrap()
+                .push_top("*")
+                .unwrap(),
+        );
+        let with_conf = QiSpace::new(vec![
+            ("Sex".into(), sex_hierarchy()),
+            ("Illness".into(), illness),
+        ])
+        .unwrap();
+        match with_conf.check_keys(&schema) {
+            Err(Error::Invalid(msg)) => assert!(msg.contains("`Illness`"), "{msg}"),
+            other => panic!("expected Error::Invalid, got {other:?}"),
+        }
+        let unknown = QiSpace::new(vec![("Height".into(), age_hierarchy())]).unwrap();
+        assert!(unknown
+            .check_keys(&schema)
+            .unwrap_err()
+            .to_string()
+            .contains("Height"));
     }
 
     #[test]

@@ -198,7 +198,6 @@ impl AttrCodeMap {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QiCodeMaps {
     attrs: Vec<AttrCodeMap>,
-    n_rows: usize,
 }
 
 impl QiCodeMaps {
@@ -216,11 +215,6 @@ impl QiCodeMaps {
     pub fn is_empty(&self) -> bool {
         self.attrs.is_empty()
     }
-
-    /// Number of rows the maps were built over.
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
-    }
 }
 
 impl crate::apply::QiSpace {
@@ -236,10 +230,7 @@ impl crate::apply::QiSpace {
                 AttrCodeMap::build(self.hierarchy(i), table.column(idx))
             })
             .collect::<Result<Vec<_>>>()?;
-        Ok(QiCodeMaps {
-            attrs,
-            n_rows: table.n_rows(),
-        })
+        Ok(QiCodeMaps { attrs })
     }
 }
 

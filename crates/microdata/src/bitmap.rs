@@ -66,20 +66,6 @@ impl Bitmap {
         (self.words[index / 64] >> (index % 64)) & 1 == 1
     }
 
-    /// Sets bit `index` to `value`.
-    ///
-    /// # Panics
-    /// Panics when `index >= len`.
-    pub fn set(&mut self, index: usize, value: bool) {
-        assert!(index < self.len, "bit {index} out of bounds ({})", self.len);
-        let mask = 1u64 << (index % 64);
-        if value {
-            self.words[index / 64] |= mask;
-        } else {
-            self.words[index / 64] &= !mask;
-        }
-    }
-
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -126,17 +112,6 @@ mod tests {
         assert_eq!(zeros.count_ones(), 0);
         assert!(!zeros.all());
         assert!(Bitmap::filled(0, true).all());
-    }
-
-    #[test]
-    fn set_flips_bits() {
-        let mut bm = Bitmap::filled(10, false);
-        bm.set(3, true);
-        bm.set(9, true);
-        bm.set(3, false);
-        assert!(!bm.get(3));
-        assert!(bm.get(9));
-        assert_eq!(bm.count_ones(), 1);
     }
 
     #[test]

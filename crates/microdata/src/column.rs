@@ -280,28 +280,6 @@ impl Column {
         self.dense_codes().1 as usize
     }
 
-    /// Builds a copy of the column with the cells at `rows` blanked to
-    /// missing — the primitive under cell-level (local) suppression.
-    ///
-    /// # Panics
-    /// Panics when a row index is out of bounds.
-    pub fn with_missing(&self, rows: &[usize]) -> Column {
-        let mut out = self.clone();
-        match &mut out {
-            Column::Int(c) => {
-                for &row in rows {
-                    c.validity.set(row, false);
-                }
-            }
-            Column::Cat(c) => {
-                for &row in rows {
-                    c.validity.set(row, false);
-                }
-            }
-        }
-        out
-    }
-
     /// Builds a new column selecting `indices` rows, in order.
     pub fn gather(&self, indices: &[usize]) -> Column {
         match self {
@@ -428,21 +406,6 @@ mod tests {
         assert_eq!(picked.value(1), Value::Missing);
         assert_eq!(picked.value(3), Value::Int(3));
         assert_eq!(picked.len(), 4);
-    }
-
-    #[test]
-    fn with_missing_blanks_cells() {
-        let col = Column::Int(IntColumn::from_values([1, 2, 3]));
-        let blanked = col.with_missing(&[0, 2]);
-        assert_eq!(blanked.value(0), Value::Missing);
-        assert_eq!(blanked.value(1), Value::Int(2));
-        assert_eq!(blanked.value(2), Value::Missing);
-        assert_eq!(blanked.missing_count(), 2);
-        // Original untouched; empty row list is a plain copy.
-        assert_eq!(col.missing_count(), 0);
-        assert_eq!(col.with_missing(&[]), col);
-        let cat = Column::Cat(CatColumn::from_values(["a", "b"]));
-        assert_eq!(cat.with_missing(&[1]).value(1), Value::Missing);
     }
 
     #[test]

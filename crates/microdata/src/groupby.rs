@@ -74,30 +74,13 @@ impl CodeCombiner {
 
     /// Like [`CodeCombiner::refine`], but reads row `r`'s code as
     /// `map[base[r]]` — fusing a generalization code map into the combine so
-    /// the mapped column is never materialized.
-    pub fn refine_mapped(
-        &mut self,
-        current: &mut [u32],
-        n_groups: u32,
-        base: &[u32],
-        map: &[u32],
-        n_codes: u32,
-    ) -> u32 {
-        self.refine_with(
-            current,
-            n_groups,
-            n_codes,
-            |out, row| out[row],
-            |row| map[base[row] as usize],
-        )
-    }
-
-    /// [`CodeCombiner::refine_mapped`] out of place: writes into `next` the
-    /// refinement of `prev` (with `n_groups` dense ids), leaving `prev`
-    /// intact; `prev = None` stands for the one-group partition of every row
-    /// (pass `n_groups = 1`, or 0 for no rows). The ids are exactly those an
-    /// in-place refinement of the same partition would assign, so a caller
-    /// can keep a chain of partial partitions and resume from any link.
+    /// the mapped column is never materialized — and works out of place:
+    /// writes into `next` the refinement of `prev` (with `n_groups` dense
+    /// ids), leaving `prev` intact; `prev = None` stands for the one-group
+    /// partition of every row (pass `n_groups = 1`, or 0 for no rows). The
+    /// ids are exactly those an in-place refinement of the same partition
+    /// would assign, so a caller can keep a chain of partial partitions and
+    /// resume from any link.
     pub fn refine_mapped_into(
         &mut self,
         prev: Option<&[u32]>,
@@ -594,16 +577,21 @@ mod tests {
         assert_eq!(current, vec![0, 0, 0]);
     }
 
+    /// `codes[r] = map[base[r]]`: the generalized column the fused
+    /// refinement never builds.
+    fn materialize(base: &[u32], map: &[u32]) -> Vec<u32> {
+        base.iter().map(|&b| map[b as usize]).collect()
+    }
+
     #[test]
     fn refine_mapped_equals_materialized_refine() {
         let base = vec![0u32, 1, 2, 3, 2, 1];
         let map = vec![0u32, 1, 0, 1]; // generalize 4 codes down to 2
-        let mapped: Vec<u32> = base.iter().map(|&b| map[b as usize]).collect();
-        let mut fused = vec![0u32; base.len()];
+        let mut fused = vec![u32::MAX; base.len()];
         let mut plain = vec![0u32; base.len()];
         let mut combiner = CodeCombiner::new();
-        let n_fused = combiner.refine_mapped(&mut fused, 1, &base, &map, 2);
-        let n_plain = combiner.refine(&mut plain, 1, &mapped, 2);
+        let n_fused = combiner.refine_mapped_into(None, &mut fused, 1, &base, &map, 2);
+        let n_plain = combiner.refine(&mut plain, 1, &materialize(&base, &map), 2);
         assert_eq!(n_fused, n_plain);
         assert_eq!(fused, plain);
     }
@@ -614,10 +602,10 @@ mod tests {
         let base_b = vec![1u32, 1, 0, 0, 2, 2, 1, 0];
         let (map_a, map_b) = (vec![0u32, 1, 0, 1], vec![0u32, 1, 2]);
         let mut combiner = CodeCombiner::new();
-        // In place: one buffer refined by A, then by B.
+        // In place: one buffer refined by the materialized A, then B.
         let mut chained = vec![0u32; base_a.len()];
-        let g = combiner.refine_mapped(&mut chained, 1, &base_a, &map_a, 2);
-        let g = combiner.refine_mapped(&mut chained, g, &base_b, &map_b, 3);
+        let g = combiner.refine(&mut chained, 1, &materialize(&base_a, &map_a), 2);
+        let g = combiner.refine(&mut chained, g, &materialize(&base_b, &map_b), 3);
         // Out of place: A from the one-group partition, B from A's result,
         // and A's partition is left intact for a second refinement.
         let mut after_a = vec![u32::MAX; base_a.len()];

@@ -209,3 +209,40 @@ fn group_by_representatives_are_group_members() {
         assert_eq!(groups.group_of(rep as usize), g as u32);
     }
 }
+
+/// `csv_records_roundtrip`'s shrunk counterexample `records = [[""], [""]]`:
+/// a one-column table of two missing cells survives a CSV round trip.
+#[test]
+fn csv_roundtrips_a_column_of_missing_cells() {
+    let schema = Schema::new(vec![Attribute::cat_key("f0")]).unwrap();
+    let mut builder = TableBuilder::new(schema.clone());
+    for _ in 0..2 {
+        builder.push_row(vec![Value::Missing]).unwrap();
+    }
+    let table = builder.finish();
+    let text = csv::to_csv_string(&table, true);
+    let parsed = csv::read_table_str(&text, schema, true).unwrap();
+    assert_eq!(parsed, table);
+    assert_eq!(parsed.n_rows(), 2);
+}
+
+/// The proptest stand-in replays only 16-hex-digit seeds; a `cc` line it
+/// cannot parse must fail the run, not be skipped.
+#[test]
+#[should_panic(expected = "cannot replay seed")]
+fn unreplayable_regression_seeds_fail_loudly() {
+    let path = std::env::temp_dir().join(format!(
+        "psens-unreplayable-{}.proptest-regressions",
+        std::process::id()
+    ));
+    std::fs::write(
+        &path,
+        format!("# header\ncc {} # shrinks to x = 1\n", "ab".repeat(32)),
+    )
+    .unwrap();
+    let loaded = std::panic::catch_unwind(|| proptest::persistence::load(&path));
+    std::fs::remove_file(&path).unwrap();
+    if let Err(panic) = loaded {
+        std::panic::resume_unwind(panic);
+    }
+}

@@ -5,8 +5,9 @@
 //! production-quality library: an in-memory columnar microdata engine,
 //! generalization hierarchies and lattices, the p-sensitive k-anonymity
 //! property with its two necessary conditions, search algorithms
-//! (Samarati binary search / Algorithm 3, Incognito-style level-wise,
-//! exhaustive, Mondrian), utility/risk metrics, and the paper's datasets.
+//! (Samarati binary search / Algorithm 3, level-wise with Incognito's
+//! rollup, exhaustive, Mondrian), utility/risk metrics, and the paper's
+//! datasets.
 //!
 //! This crate is a facade: it re-exports the workspace crates under stable
 //! names and offers a [`prelude`].

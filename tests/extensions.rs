@@ -1,10 +1,9 @@
 //! Integration and property tests for the extension features: extended
-//! p-sensitivity, local suppression, Incognito, the parallel scan, and the
+//! p-sensitivity, the level-wise search, the parallel scan, and the
 //! diversity measures.
 
 use proptest::prelude::*;
 use psens::core::extended::{check_extended, ConfidentialSpec};
-use psens::core::locally_suppress_to_k;
 use psens::hierarchy::CatHierarchy;
 use psens::metrics::diversity_report;
 use psens::prelude::*;
@@ -91,30 +90,7 @@ proptest! {
     }
 
     #[test]
-    fn local_suppression_reaches_k_or_reports_impossible(
-        rows in prop::collection::vec(arb_row(), 1..50),
-        k in 1u32..5,
-    ) {
-        let t = build_table(&rows);
-        match locally_suppress_to_k(&t, &[0, 1], k) {
-            Some(result) => {
-                prop_assert!(is_k_anonymous(&result.table, &[0, 1], k));
-                prop_assert_eq!(result.table.n_rows(), t.n_rows());
-                // Confidential column untouched.
-                prop_assert_eq!(result.table.column(2), t.column(2));
-            }
-            None => {
-                // The greedy gives up only when a residual pool of violating
-                // tuples is smaller than k after all their key cells are
-                // blank; that requires some violation to begin with.
-                let violating = GroupBy::compute(&t, &[0, 1]).rows_in_small_groups(k);
-                prop_assert!(violating > 0, "None requires an initial violation");
-            }
-        }
-    }
-
-    #[test]
-    fn incognito_levelwise_and_parallel_agree(
+    fn levelwise_and_parallel_agree(
         rows in prop::collection::vec(arb_row(), 1..40),
         p in 1u32..3,
         k in 1u32..4,
@@ -125,8 +101,6 @@ proptest! {
         let req = pk_request(p, k, ts);
         let mut exhaustive = exhaustive_scan(&t, &qi, &req, &NoopObserver).unwrap().minimal;
         let mut levelwise = levelwise_minimal(&t, &qi, &req, &NoopObserver).unwrap().minimal;
-        let mut incognito =
-            psens::algorithms::incognito_minimal(&t, &qi, &req, &NoopObserver).unwrap().minimal;
         let three_threads = SearchRequest {
             tuning: Tuning { threads: 3, ..Tuning::default() },
             ..req
@@ -135,10 +109,8 @@ proptest! {
         let mut par_minimal = parallel.minimal;
         exhaustive.sort();
         levelwise.sort();
-        incognito.sort();
         par_minimal.sort();
         prop_assert_eq!(&exhaustive, &levelwise);
-        prop_assert_eq!(&exhaustive, &incognito);
         prop_assert_eq!(&exhaustive, &par_minimal);
     }
 
@@ -165,20 +137,6 @@ proptest! {
 /// A p-sensitive k-anonymity request with the default knobs.
 fn pk_request(p: u32, k: u32, ts: usize) -> SearchRequest<'static> {
     SearchRequest::new(ModelSpec::PSensitiveK { p }, k, ts)
-}
-
-#[test]
-fn local_beats_row_suppression_on_cells_lost() {
-    // On Figure 3's data at k = 2: row suppression deletes 6 tuples
-    // (12 cells + 6 confidential values); local suppression blanks fewer
-    // cells and keeps every tuple.
-    let im = psens::datasets::paper::figure3_microdata();
-    let keys = im.schema().key_indices();
-    let rows = psens::core::suppress_to_k(&im, &keys, 2);
-    let cells = locally_suppress_to_k(&im, &keys, 2).unwrap();
-    assert_eq!(rows.removed, 6);
-    assert!(cells.cells_suppressed < rows.removed * keys.len());
-    assert_eq!(cells.table.n_rows(), im.n_rows());
 }
 
 #[test]

@@ -14,8 +14,7 @@
 //! - the exhaustive scan (serial at one thread, chunked otherwise) returns
 //!   identical satisfying and minimal sets and per-node annotations — the
 //!   strongest form of "cached verdicts equal uncached verdicts", since
-//!   every `(node, violating_tuples)` pair is compared;
-//! - Incognito returns the same minimal set.
+//!   every `(node, violating_tuples)` pair is compared.
 //!
 //! Pruning may only change *where* a check settles: without it no fresh
 //! check is rejected by Condition 1 or 2. One [`VerdictStore`] is shared
@@ -28,8 +27,8 @@
 
 use proptest::prelude::*;
 use psens::algorithms::{
-    exhaustive_scan, incognito_minimal, levelwise_minimal, pk_minimal_generalization, Pruning,
-    SearchRequest, SearchStats, Tuning,
+    exhaustive_scan, levelwise_minimal, pk_minimal_generalization, Pruning, SearchRequest,
+    SearchStats, Tuning,
 };
 use psens::core::{NoopObserver, SearchBudget, VerdictStore};
 use psens::hierarchy::QiSpace;
@@ -108,10 +107,6 @@ fn assert_searches_match_oracles(
     let sam0 = pk_minimal_generalization(table, qi, &oracle, &noop).unwrap();
     let lw0 = levelwise_minimal(table, qi, &oracle, &noop).unwrap();
     let ex0 = exhaustive_scan(table, qi, &oracle, &noop).unwrap();
-    let mut inc0 = incognito_minimal(table, qi, &oracle, &noop)
-        .unwrap()
-        .minimal;
-    inc0.sort();
 
     let lattice = qi.lattice();
     let store = VerdictStore::new(&lattice, ts);
@@ -174,10 +169,6 @@ fn assert_searches_match_oracles(
                     &setting
                 );
                 assert_partition_holds(&ex.stats, pruning, &setting)?;
-
-                let mut inc = incognito_minimal(table, qi, &req, &noop).unwrap().minimal;
-                inc.sort();
-                prop_assert_eq!(&inc, &inc0, "incognito minimal: {}", &setting);
             }
         }
     }
@@ -250,8 +241,56 @@ fn fully_suppressed_release_is_unsatisfiable_when_condition1_fails() {
     }
     let lw = levelwise_minimal(&im, &qi, &base, &NoopObserver).unwrap();
     assert!(lw.minimal.is_empty());
-    let inc = incognito_minimal(&im, &qi, &base, &NoopObserver).unwrap();
-    assert!(inc.minimal.is_empty());
+}
+
+/// A QI space holds key attributes only. Figure 3 with Illness, its
+/// confidential attribute, added to the QI space is rejected by every
+/// search with an error naming Illness — at p = 2, where Condition 1 holds,
+/// and at p = 4 (Illness has 3 values), where Condition 1 alone would
+/// settle the request as unsatisfiable before any node check.
+#[test]
+fn every_search_rejects_a_confidential_qi_attribute_at_any_p() {
+    use psens::algorithms::{pram_minimal_masking, PramBackendConfig, PramBackendError};
+    use psens::datasets::hierarchies::{figure1_sex, figure1_zipcode};
+    use psens::hierarchy::Error;
+
+    let im = psens::datasets::paper::figure3_microdata();
+    let qi = QiSpace::new(vec![
+        ("Sex".into(), figure1_sex()),
+        ("ZipCode".into(), Hierarchy::Cat(figure1_zipcode())),
+        (
+            "Illness".into(),
+            psens::hierarchy::builders::flat_hierarchy(vec!["Flu", "HIV", "Asthma"]).unwrap(),
+        ),
+    ])
+    .unwrap();
+    let names_illness = |err: Error, search: &str| match err {
+        Error::Invalid(msg) => assert!(msg.contains("`Illness`"), "{search}: {msg}"),
+        other => panic!("{search}: expected Error::Invalid, got {other:?}"),
+    };
+    for p in [2u32, 4] {
+        let model = ModelSpec::PSensitiveK { p };
+        let req = SearchRequest::new(model, 2, 0);
+        let sam = pk_minimal_generalization(&im, &qi, &req, &NoopObserver).unwrap_err();
+        names_illness(sam, &format!("samarati p={p}"));
+        let lw = levelwise_minimal(&im, &qi, &req, &NoopObserver).unwrap_err();
+        names_illness(lw, &format!("levelwise p={p}"));
+        for threads in [1usize, 2] {
+            let req = SearchRequest {
+                tuning: Tuning {
+                    threads,
+                    ..Tuning::default()
+                },
+                ..req.clone()
+            };
+            let ex = exhaustive_scan(&im, &qi, &req, &NoopObserver).unwrap_err();
+            names_illness(ex, &format!("exhaustive p={p} threads={threads}"));
+        }
+        match pram_minimal_masking(&im, &qi, model, 2, 0, PramBackendConfig::default()) {
+            Err(PramBackendError::Search(err)) => names_illness(err, &format!("pram p={p}")),
+            other => panic!("pram p={p}: expected a search error, got {other:?}"),
+        }
+    }
 }
 
 /// A store fully warmed by one strategy answers a different strategy's whole
