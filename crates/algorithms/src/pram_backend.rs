@@ -25,7 +25,7 @@
 
 use crate::request::SearchRequest;
 use crate::samarati::pk_minimal_generalization;
-use psens_core::{ModelSpec, NoopObserver, Termination};
+use psens_core::{check_table_model, ModelSpec, NoopObserver, Termination};
 use psens_hierarchy::{Node, QiSpace};
 use psens_methods::pram::{pram, PramMatrix};
 use psens_microdata::{CatColumn, Column, GroupBy, Table};
@@ -109,9 +109,9 @@ impl std::error::Error for PramBackendError {}
 ///
 /// Each sweep re-draws the confidential cells of every currently-failing
 /// group from a uniform-retention matrix over the attribute's observed
-/// domain, then re-checks the model; untouched groups keep their exact
-/// values. The loop stops at the first satisfying sweep or at
-/// `config.max_sweeps`.
+/// domain, then re-checks the model with [`check_table_model`]; untouched
+/// groups keep their exact values. The loop stops at the first satisfying
+/// sweep or at `config.max_sweeps`.
 pub fn pram_minimal_masking(
     initial: &Table,
     qi: &QiSpace,
@@ -143,19 +143,21 @@ pub fn pram_minimal_masking(
         });
     };
 
-    let model = spec.instantiate();
     let schema = baseline.schema();
     let keys = schema.key_indices();
     let conf = schema.confidential_indices();
-    // The QI partition is PRAM-invariant: compute it once.
-    let groups = GroupBy::compute(&baseline, &keys);
-    let rows_by_group = groups.rows_by_group();
+    // PRAM never changes a key attribute, so the QI partition, and with it
+    // the first-appearance group ids `check_table_model` reports, is the
+    // baseline's in every sweep: compute the rows of each group once. Only
+    // the failing groups are read, so the check runs at k = 1.
+    let rows_by_group = GroupBy::compute(&baseline, &keys).rows_by_group();
+    let failing_groups =
+        |table: &Table| check_table_model(table, &keys, &conf, &spec, 1).failing_groups;
 
     let mut current = baseline.clone();
     let mut sweeps = 0;
-    let mut satisfied = failing_groups(&current, &conf, &rows_by_group, &*model).is_empty();
-    while !satisfied && sweeps < config.max_sweeps {
-        let failing = failing_groups(&current, &conf, &rows_by_group, &*model);
+    let mut failing = failing_groups(&current);
+    while !failing.is_empty() && sweeps < config.max_sweeps {
         let mut repair = vec![false; current.n_rows()];
         for &g in &failing {
             for &row in &rows_by_group[g] {
@@ -190,7 +192,7 @@ pub fn pram_minimal_masking(
             break;
         }
         sweeps += 1;
-        satisfied = failing_groups(&current, &conf, &rows_by_group, &*model).is_empty();
+        failing = failing_groups(&current);
     }
 
     let perturbed_cells = (0..current.n_rows())
@@ -204,45 +206,10 @@ pub fn pram_minimal_masking(
         node: Some(node),
         masked: Some(current),
         suppressed: search.suppressed,
-        satisfied,
+        satisfied: failing.is_empty(),
         sweeps,
         perturbed_cells,
     })
-}
-
-/// Indices (into the fixed QI partition) of groups where any confidential
-/// attribute fails the model's group verdict.
-fn failing_groups(
-    table: &Table,
-    conf: &[usize],
-    rows_by_group: &[Vec<u32>],
-    model: &dyn psens_core::PrivacyModel,
-) -> Vec<usize> {
-    let mut failing = Vec::new();
-    let mut counts: Vec<(u32, u32)> = Vec::new();
-    for (g, rows) in rows_by_group.iter().enumerate() {
-        let fails = conf.iter().any(|&attr| {
-            let (codes, n_codes) = table.column(attr).dense_codes();
-            let mut hist = vec![0u32; n_codes as usize];
-            for &row in rows {
-                hist[codes[row as usize] as usize] += 1;
-            }
-            counts.clear();
-            counts.extend(
-                hist.iter()
-                    .enumerate()
-                    .filter(|(_, &c)| c > 0)
-                    .map(|(code, &c)| (code as u32, c)),
-            );
-            // None for the global distribution: t-closeness (the only model
-            // that needs it) is refused before this runs.
-            !model.check_group(&counts, rows.len() as u32, None).passes
-        });
-        if fails {
-            failing.push(g);
-        }
-    }
-    failing
 }
 
 /// `current` with `attr` replaced by: `released`'s value on repair rows,
@@ -319,6 +286,10 @@ mod tests {
         let k_only = pk_minimal_generalization(&im, &qi, &req, &NoopObserver).unwrap();
         assert_eq!(outcome.node, k_only.node);
         assert!(outcome.sweeps >= 1, "{outcome:?}");
+        // Pinned: the failing set each sweep sees decides which cells are
+        // re-drawn, so these figures change if it does.
+        assert_eq!(outcome.sweeps, 2, "{outcome:?}");
+        assert_eq!(outcome.perturbed_cells, 1, "{outcome:?}");
         let masked = outcome.masked.unwrap();
         let keys = masked.schema().key_indices();
         let conf = masked.schema().confidential_indices();
@@ -329,6 +300,12 @@ mod tests {
         for (row, illness) in [(2, "Flu"), (3, "HIV"), (4, "Asthma")] {
             assert_eq!(masked.value(row, 2), Value::Text(illness.into()));
         }
+        assert_eq!(conf, vec![2]);
+        let illnesses: Vec<Value> = (0..masked.n_rows())
+            .map(|row| masked.value(row, 2))
+            .collect();
+        let expected = ["Asthma", "Flu", "Flu", "HIV", "Asthma"];
+        assert_eq!(illnesses, expected.map(|text| Value::Text(text.into())));
     }
 
     #[test]

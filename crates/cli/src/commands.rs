@@ -535,8 +535,7 @@ fn check_model(args: &Args, spec_model: ModelSpec) -> Result<CmdOutput, String> 
     let table = load_table(args, &spec)?;
     let keys = table.schema().key_indices();
     let conf = table.schema().confidential_indices();
-    let model = spec_model.instantiate();
-    let report = check_table_model(&table, &keys, &conf, model.as_ref(), k);
+    let report = check_table_model(&table, &keys, &conf, &spec_model, k);
     let maxk = max_k(&table, &keys);
     let mut out = String::new();
     out.push_str(&format!(

@@ -46,13 +46,12 @@ use crate::budget::{BudgetState, Termination};
 use crate::checker::{empty_release_fails, CheckStage};
 use crate::conditions::ConfidentialStats;
 use crate::masking::{MaskingContext, Result};
-use crate::model::{CodeDistribution, GroupCheckMode, ModelDetail, ModelSpec, PrivacyModel};
+use crate::model::{CodeDistribution, GroupCheckMode, ModelDetail, ModelSpec};
 use crate::observe::{elapsed_since, start_timer, SearchObserver};
 use crate::verdict::{Verdict, VerdictStore};
 use psens_hierarchy::{Error, Node, QiCodeMaps};
 use psens_microdata::CodeCombiner;
 use std::ops::ControlFlow;
-use std::sync::Arc;
 
 /// Everything node-invariant about one (table, QI space, k, p, TS) search —
 /// built once, shared (it is `Sync`) by every node check.
@@ -60,7 +59,6 @@ use std::sync::Arc;
 pub struct EvalContext {
     n_rows: usize,
     k: u32,
-    p: u32,
     ts: usize,
     maps: QiCodeMaps,
     /// Dense codes of key attributes outside the QI space (always grouped
@@ -68,11 +66,12 @@ pub struct EvalContext {
     static_keys: Vec<(Vec<u32>, u32)>,
     /// Dense codes of the confidential attributes, in masked-schema order.
     conf: Vec<(Vec<u32>, u32)>,
-    /// The privacy model the detailed scan enforces. Defaults to
-    /// p-sensitive k-anonymity with the context's `p`, which reproduces
-    /// the historical checker verdict-for-verdict; [`Self::with_model`]
-    /// swaps in another model.
-    model: Arc<dyn PrivacyModel>,
+    /// The privacy model the detailed scan enforces; its
+    /// [`ModelSpec::conditions_p`] is the `p` of Conditions 1–2. Defaults
+    /// to p-sensitive k-anonymity with the masking context's `p`, which
+    /// reproduces the historical checker verdict-for-verdict;
+    /// [`Self::with_model`] swaps in another model.
+    model: ModelSpec,
     /// Whole-table code distribution per confidential attribute, computed
     /// only when the model needs it (t-closeness).
     globals: Vec<Option<CodeDistribution>>,
@@ -157,26 +156,23 @@ impl EvalContext {
         Ok(EvalContext {
             n_rows: ctx.initial.n_rows(),
             k: ctx.k,
-            p: ctx.p,
             ts: ctx.ts,
             maps,
             static_keys,
             conf,
-            model: ModelSpec::PSensitiveK { p: ctx.p }.instantiate(),
+            model: ModelSpec::PSensitiveK { p: ctx.p },
             globals: vec![None; n_conf],
         })
     }
 
-    /// Swaps the detailed-scan model for `spec`'s checker. The context's
-    /// `p` becomes the model's [`ModelSpec::conditions_p`], so Conditions
-    /// 1–2 keep acting as necessary conditions for the new model, and —
-    /// when the model compares distributions — the whole-table code
-    /// distribution of every confidential attribute is tallied once here.
+    /// Swaps the detailed-scan model for `spec`. Conditions 1–2 then run
+    /// at the model's [`ModelSpec::conditions_p`], so they keep acting as
+    /// necessary conditions for the new model, and — when the model
+    /// compares distributions — the whole-table code distribution of every
+    /// confidential attribute is tallied once here.
     pub fn with_model(mut self, spec: ModelSpec) -> EvalContext {
-        let model = spec.instantiate();
-        self.p = model.conditions_p();
         let needs_global = matches!(
-            model.mode(),
+            spec.mode(),
             GroupCheckMode::Histogram { needs_global: true }
         );
         self.globals = self
@@ -186,7 +182,7 @@ impl EvalContext {
                 needs_global.then(|| CodeDistribution::from_codes(codes.iter().copied(), *n_codes))
             })
             .collect();
-        self.model = model;
+        self.model = spec;
         self
     }
 
@@ -292,7 +288,7 @@ pub struct NodeEvaluator<'a> {
     /// models only); reset lazily through `stamp`.
     hist: Vec<u32>,
     /// The current group's `(code, count)` pairs handed to
-    /// [`PrivacyModel::check_group`], sorted by code.
+    /// [`ModelSpec::check_group`], sorted by code.
     counts_buf: Vec<(u32, u32)>,
 }
 
@@ -306,6 +302,7 @@ impl NodeEvaluator<'_> {
     pub fn check(&mut self, node: &Node, stats: &ConfidentialStats) -> Result<NodeCheck> {
         let ctx = self.ctx;
         ctx.validate(node)?;
+        let p = ctx.model.conditions_p();
         let n_groups = self.partition(node);
 
         self.sizes.clear();
@@ -339,10 +336,10 @@ impl NodeEvaluator<'_> {
             n_groups,
             detail,
         };
-        if !stats.condition1(ctx.p) {
+        if !stats.condition1(p) {
             return Ok(check(false, CheckStage::Condition1, None, None));
         }
-        if !stats.condition2(ctx.p, n_groups_eff) {
+        if !stats.condition2(p, n_groups_eff) {
             return Ok(check(
                 false,
                 CheckStage::Condition2,
@@ -352,8 +349,7 @@ impl NodeEvaluator<'_> {
         }
         // k-anonymity: after suppression the table is k-anonymous by
         // construction; otherwise any violating tuple fails the stage.
-        if (!suppression && violating_tuples > 0)
-            || empty_release_fails(suppressed, ctx.n_rows, ctx.p)
+        if (!suppression && violating_tuples > 0) || empty_release_fails(suppressed, ctx.n_rows, p)
         {
             return Ok(check(
                 false,
@@ -594,7 +590,7 @@ impl NodeEvaluator<'_> {
     }
 
     /// Stage 4 for histogram models: builds each surviving group's code
-    /// histogram and asks [`PrivacyModel::check_group`] for the verdict.
+    /// histogram and asks [`ModelSpec::check_group`] for the verdict.
     /// Scans every group of an attribute (no early exit) so the folded
     /// [`ModelDetail`] is deterministic; a failing attribute still stops
     /// the remaining attributes. Returns the stage verdict plus the detail
@@ -620,7 +616,7 @@ impl NodeEvaluator<'_> {
                 suppression,
                 *n_codes,
                 codes,
-                ctx.model.as_ref(),
+                ctx.model,
                 global.as_ref(),
                 &mut min_metric,
                 &mut max_metric,
@@ -693,7 +689,7 @@ impl NodeEvaluator<'_> {
         suppression: bool,
         n_codes: u32,
         codes: &[u32],
-        model: &dyn PrivacyModel,
+        model: ModelSpec,
         global: Option<&CodeDistribution>,
         min_metric: &mut u64,
         max_metric: &mut u64,
@@ -976,7 +972,7 @@ mod tests {
                         &masked,
                         &masked.schema().key_indices(),
                         &masked.schema().confidential_indices(),
-                        spec.instantiate().as_ref(),
+                        &spec,
                         k,
                     );
                     assert_eq!(

@@ -203,7 +203,7 @@ pub fn invalidation_for<'a>(
     if effect.net_zero {
         return Invalidation::KeepAll;
     }
-    let distinct_mode = matches!(spec.instantiate().mode(), GroupCheckMode::Distinct { .. });
+    let distinct_mode = matches!(spec.mode(), GroupCheckMode::Distinct { .. });
     if effect.sterile_for(k) && distinct_mode {
         return Invalidation::Conditions {
             stats,

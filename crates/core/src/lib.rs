@@ -30,7 +30,7 @@
 //! | [`attack`] | the record-linkage / homogeneity attack (Tables 1–2) |
 //! | [`extended`] | extended p-sensitivity over confidential hierarchies (follow-up model) |
 //! | [`verdict`] | shared verdict store; a k-failure condemns every descendant, for every model |
-//! | [`model`] | pluggable privacy models (p-sensitivity, l-diversity, t-closeness) behind one trait |
+//! | [`model`] | the privacy models (p-sensitivity, l-diversity, t-closeness) as one `Copy` enum, [`ModelSpec`], plus the table-level check |
 //!
 //! ## Example
 //!
@@ -94,9 +94,8 @@ pub use incremental::{invalidation_for, DeltaEffect, LiveTable};
 pub use kanonymity::{check_k_anonymity, is_k_anonymous, max_k, KAnonymityReport};
 pub use masking::{MaskOutcome, MaskingContext};
 pub use model::{
-    check_table_model, CodeDistribution, DistinctLDiversity, EntropyLDiversity, GroupCheckMode,
-    GroupVerdict, ModelDetail, ModelSpec, PSensitiveK, PrivacyModel, TCloseness, TableModelReport,
-    FIXED_POINT_SCALE,
+    check_table_model, CodeDistribution, GroupCheckMode, GroupVerdict, ModelDetail, ModelSpec,
+    TableModelReport, FIXED_POINT_SCALE,
 };
 pub use observe::{
     HeightTelemetry, NoopObserver, RecordingObserver, SearchObserver, StageTelemetry, Telemetry,

@@ -1,23 +1,31 @@
-//! Pluggable privacy models behind the [`PrivacyModel`] trait.
+//! The privacy models, as one `Copy` value: [`ModelSpec`].
 //!
 //! The paper's checker hardcodes one per-group predicate: *every
 //! confidential attribute takes at least `p` distinct values in every
 //! QI-group* (Definition 2). That predicate is the only model-specific
 //! piece of the whole search stack — the lattice walk, the verdict cache,
 //! budgets, suppression simulation, and winner materialization are all
-//! model-agnostic. This module extracts the predicate into a trait so the
-//! same engine can serve other group-level privacy models:
+//! model-agnostic. A [`ModelSpec`] names a group-level model and its
+//! parameter, and its methods are the predicate, each one `match` over
+//! the variants: [`ModelSpec::mode`] tells the kernel how to scan a group,
+//! [`ModelSpec::check_group`] judges one group's confidential histogram,
+//! and [`ModelSpec::node_detail`] folds the per-group metrics into a
+//! node's [`ModelDetail`].
 //!
-//! | model | per-group property | source |
+//! | variant | per-group property | source |
 //! |---|---|---|
-//! | [`PSensitiveK`] | `COUNT(DISTINCT S) >= p` | Truta & Vinay, ICDE 2006 |
-//! | [`DistinctLDiversity`] | `COUNT(DISTINCT S) >= l` | Machanavajjhala et al., ICDE 2006 |
-//! | [`EntropyLDiversity`] | `entropy(S) >= ln l` | Machanavajjhala et al., ICDE 2006 |
-//! | [`TCloseness`] | `EMD(group, table) <= t` | Li et al., ICDE 2007; EMD per Soria-Comas et al. |
+//! | [`ModelSpec::PSensitiveK`] | `COUNT(DISTINCT S) >= p` | Truta & Vinay, ICDE 2006 |
+//! | [`ModelSpec::DistinctL`] | `COUNT(DISTINCT S) >= l` | Machanavajjhala et al., ICDE 2006 |
+//! | [`ModelSpec::EntropyL`] | `entropy(S) >= ln l` | Machanavajjhala et al., ICDE 2006 |
+//! | [`ModelSpec::TCloseness`] | `EMD(group, table) <= t` | Li et al., ICDE 2007; EMD per Soria-Comas et al. |
+//!
+//! [`check_table_model`] applies the same predicate to a materialized
+//! table: it is the oracle behind `psens check --model` and the failing-group
+//! source of the PRAM backend.
 //!
 //! ## Monotonicity
 //!
-//! Without suppression every shipped model is monotone along the
+//! Without suppression every model is monotone along the
 //! generalization lattice: generalizing only merges QI-groups, and merging
 //! passing groups never yields a failing one —
 //!
@@ -41,8 +49,6 @@
 
 use psens_microdata::{GroupBy, Table};
 use serde::Serialize;
-use std::fmt;
-use std::sync::Arc;
 
 /// Nats-to-micro-nats (and probability-to-ppm) fixed-point scale. Model
 /// parameters and detail metrics are stored as integers at this scale so
@@ -112,17 +118,29 @@ impl ModelSpec {
 
     /// Rebuilds a spec from its wire `(name, param)` pair (the inverse of
     /// [`Self::name`] + [`Self::param`]). Errors on an unknown name or an
-    /// out-of-range parameter.
+    /// out-of-range parameter: `p` and `l` must fit a `u32`, and `t_ppm`
+    /// must be at most 1,000,000 (`t <= 1`).
     pub fn from_parts(name: &str, param: u64) -> Result<ModelSpec, String> {
-        let narrow = |what: &str| -> Result<u32, String> {
-            u32::try_from(param).map_err(|_| format!("model parameter {what}={param} out of range"))
+        let narrow = |what: &str, max: u32| -> Result<u32, String> {
+            u32::try_from(param)
+                .ok()
+                .filter(|&value| value <= max)
+                .ok_or_else(|| {
+                    format!("model parameter {what}={param} out of range (at most {max})")
+                })
         };
         match name {
-            "psens-k" => Ok(ModelSpec::PSensitiveK { p: narrow("p")? }),
-            "distinct-l" => Ok(ModelSpec::DistinctL { l: narrow("l")? }),
-            "entropy-l" => Ok(ModelSpec::EntropyL { l: narrow("l")? }),
+            "psens-k" => Ok(ModelSpec::PSensitiveK {
+                p: narrow("p", u32::MAX)?,
+            }),
+            "distinct-l" => Ok(ModelSpec::DistinctL {
+                l: narrow("l", u32::MAX)?,
+            }),
+            "entropy-l" => Ok(ModelSpec::EntropyL {
+                l: narrow("l", u32::MAX)?,
+            }),
             "t-closeness" => Ok(ModelSpec::TCloseness {
-                t_ppm: narrow("t_ppm")?,
+                t_ppm: narrow("t_ppm", 1_000_000)?,
             }),
             other => Err(format!(
                 "unknown privacy model `{other}` (expected psens-k, distinct-l, entropy-l, or t-closeness)"
@@ -164,15 +182,112 @@ impl ModelSpec {
         true
     }
 
-    /// Builds the runtime checker for this spec.
-    pub fn instantiate(&self) -> Arc<dyn PrivacyModel> {
+    /// Returns a boxed copy of `self` and has no effect: a `ModelSpec` is
+    /// its own checker. Kept only because the benchmark crate boxes the
+    /// spec this way before passing it to [`check_table_model`].
+    #[doc(hidden)]
+    pub fn instantiate(&self) -> Box<ModelSpec> {
+        Box::new(*self)
+    }
+
+    /// How the kernel should scan QI-groups for this model.
+    pub fn mode(&self) -> GroupCheckMode {
         match *self {
-            ModelSpec::PSensitiveK { p } => Arc::new(PSensitiveK { p }),
-            ModelSpec::DistinctL { l } => Arc::new(DistinctLDiversity { l }),
-            ModelSpec::EntropyL { l } => Arc::new(EntropyLDiversity { l }),
-            ModelSpec::TCloseness { t_ppm } => Arc::new(TCloseness { t_ppm }),
+            ModelSpec::PSensitiveK { p: target } | ModelSpec::DistinctL { l: target } => {
+                GroupCheckMode::Distinct { target }
+            }
+            ModelSpec::EntropyL { .. } => GroupCheckMode::Histogram {
+                needs_global: false,
+            },
+            ModelSpec::TCloseness { .. } => GroupCheckMode::Histogram { needs_global: true },
         }
     }
+
+    /// The model's verdict on one QI-group. `counts` holds the group's
+    /// `(code, count)` pairs in ascending code order (only codes present in
+    /// the group), `group_size` its row count, and `global` the whole-table
+    /// distribution, which t-closeness needs (see [`Self::mode`]).
+    ///
+    /// Panics on t-closeness without `global`.
+    pub fn check_group(
+        &self,
+        counts: &[(u32, u32)],
+        group_size: u32,
+        global: Option<&CodeDistribution>,
+    ) -> GroupVerdict {
+        match *self {
+            ModelSpec::PSensitiveK { p: target } | ModelSpec::DistinctL { l: target } => {
+                let distinct = counts.len() as u64;
+                GroupVerdict {
+                    passes: distinct >= u64::from(target),
+                    metric: distinct,
+                }
+            }
+            ModelSpec::EntropyL { l } => {
+                let h = entropy_nats(counts, group_size);
+                GroupVerdict {
+                    passes: h + METRIC_EPSILON >= f64::from(l).ln(),
+                    metric: (h * FIXED_POINT_SCALE).round() as u64,
+                }
+            }
+            ModelSpec::TCloseness { t_ppm } => {
+                let global = global.expect("t-closeness needs the whole-table distribution");
+                let emd = emd(counts, group_size, global);
+                GroupVerdict {
+                    passes: emd <= f64::from(t_ppm) / FIXED_POINT_SCALE + METRIC_EPSILON,
+                    metric: (emd * FIXED_POINT_SCALE).round() as u64,
+                }
+            }
+        }
+    }
+
+    /// Folds the extremal per-group metrics a scan observed into the
+    /// node-level detail payload: distinct counts and entropy keep the
+    /// minimum, EMD the maximum.
+    pub fn node_detail(&self, min_metric: u64, max_metric: u64) -> ModelDetail {
+        match self {
+            ModelSpec::PSensitiveK { .. } | ModelSpec::DistinctL { .. } => {
+                ModelDetail::MinDistinct(min_metric.min(u64::from(u32::MAX)) as u32)
+            }
+            ModelSpec::EntropyL { .. } => ModelDetail::MinEntropyMicroNats(min_metric),
+            ModelSpec::TCloseness { .. } => {
+                ModelDetail::MaxEmdPpm(max_metric.min(u64::from(u32::MAX)) as u32)
+            }
+        }
+    }
+}
+
+/// A group's Shannon entropy in nats: `ln n − (Σ c·ln c)/n`.
+fn entropy_nats(counts: &[(u32, u32)], group_size: u32) -> f64 {
+    if group_size == 0 {
+        return 0.0;
+    }
+    let n = f64::from(group_size);
+    let weighted: f64 = counts
+        .iter()
+        .map(|&(_, c)| {
+            let c = f64::from(c);
+            c * c.ln()
+        })
+        .sum();
+    (n.ln() - weighted / n).max(0.0)
+}
+
+/// Equal-distance EMD of a group against `global`: `0.5·Σ|gᵢ − Gᵢ|`,
+/// computed from the group's touched codes only, since every code absent
+/// from the group contributes exactly its global mass.
+fn emd(counts: &[(u32, u32)], group_size: u32, global: &CodeDistribution) -> f64 {
+    if group_size == 0 || global.total() == 0 {
+        return 0.0;
+    }
+    let n = f64::from(group_size);
+    let mut touched = 0.0f64;
+    for &(code, count) in counts {
+        let g = f64::from(count) / n;
+        let q = global.fraction(code);
+        touched += (g - q).abs() - q;
+    }
+    (0.5 * (touched + 1.0)).clamp(0.0, 1.0)
 }
 
 /// How the kernel should scan QI-groups for a model.
@@ -186,7 +301,7 @@ pub enum GroupCheckMode {
         target: u32,
     },
     /// Build a per-group code histogram and ask
-    /// [`PrivacyModel::check_group`] for the verdict.
+    /// [`ModelSpec::check_group`] for the verdict.
     Histogram {
         /// Whether `check_group` needs the whole-table code distribution
         /// (t-closeness does; entropy does not).
@@ -287,249 +402,6 @@ impl ModelDetail {
     }
 }
 
-/// A group-level privacy model the node-evaluation kernel can check.
-///
-/// Implementations are stateless predicates over per-group confidential
-/// histograms; everything table- and node-specific arrives as arguments.
-/// The trait is object-safe: the kernel holds an `Arc<dyn PrivacyModel>`.
-pub trait PrivacyModel: fmt::Debug + Send + Sync {
-    /// The model's wire name (matches [`ModelSpec::name`] for shipped
-    /// models).
-    fn name(&self) -> &'static str;
-
-    /// The `p` to feed Conditions 1–2 as a necessary condition (see
-    /// [`ModelSpec::conditions_p`]).
-    fn conditions_p(&self) -> u32;
-
-    /// How the kernel should scan groups for this model.
-    fn mode(&self) -> GroupCheckMode;
-
-    /// Per-group verdict. `counts` holds the group's `(code, count)`
-    /// pairs in ascending code order (only codes present in the group),
-    /// `group_size` its row count, and `global` the whole-table
-    /// distribution when the mode asked for it.
-    fn check_group(
-        &self,
-        counts: &[(u32, u32)],
-        group_size: u32,
-        global: Option<&CodeDistribution>,
-    ) -> GroupVerdict;
-
-    /// Folds the extremal per-group metrics the scan observed into the
-    /// node-level detail payload — entropy keeps the minimum, EMD the
-    /// maximum.
-    fn node_detail(&self, min_metric: u64, max_metric: u64) -> ModelDetail;
-}
-
-/// p-sensitive k-anonymity (paper Definition 2) as a [`PrivacyModel`] —
-/// the port of the previously hardcoded checker, verdict-for-verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PSensitiveK {
-    /// Minimum distinct confidential values per QI-group.
-    pub p: u32,
-}
-
-impl PrivacyModel for PSensitiveK {
-    fn name(&self) -> &'static str {
-        "psens-k"
-    }
-
-    fn conditions_p(&self) -> u32 {
-        self.p
-    }
-
-    fn mode(&self) -> GroupCheckMode {
-        GroupCheckMode::Distinct { target: self.p }
-    }
-
-    fn check_group(
-        &self,
-        counts: &[(u32, u32)],
-        _group_size: u32,
-        _global: Option<&CodeDistribution>,
-    ) -> GroupVerdict {
-        let distinct = counts.len() as u64;
-        GroupVerdict {
-            passes: distinct >= u64::from(self.p),
-            metric: distinct,
-        }
-    }
-
-    fn node_detail(&self, min_metric: u64, _max_metric: u64) -> ModelDetail {
-        ModelDetail::MinDistinct(min_metric.min(u64::from(u32::MAX)) as u32)
-    }
-}
-
-/// Distinct l-diversity: the same distinct-count predicate as
-/// p-sensitivity with `p = l` (the models differ only in provenance), so
-/// it shares the kernel's early-exit distinct scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DistinctLDiversity {
-    /// Minimum distinct confidential values per QI-group.
-    pub l: u32,
-}
-
-impl PrivacyModel for DistinctLDiversity {
-    fn name(&self) -> &'static str {
-        "distinct-l"
-    }
-
-    fn conditions_p(&self) -> u32 {
-        self.l
-    }
-
-    fn mode(&self) -> GroupCheckMode {
-        GroupCheckMode::Distinct { target: self.l }
-    }
-
-    fn check_group(
-        &self,
-        counts: &[(u32, u32)],
-        _group_size: u32,
-        _global: Option<&CodeDistribution>,
-    ) -> GroupVerdict {
-        let distinct = counts.len() as u64;
-        GroupVerdict {
-            passes: distinct >= u64::from(self.l),
-            metric: distinct,
-        }
-    }
-
-    fn node_detail(&self, min_metric: u64, _max_metric: u64) -> ModelDetail {
-        ModelDetail::MinDistinct(min_metric.min(u64::from(u32::MAX)) as u32)
-    }
-}
-
-/// Entropy l-diversity: every group's confidential entropy is at least
-/// `ln l`. Merging groups never lowers the minimum entropy, because Shannon
-/// entropy is concave: a merged group's distribution is a mixture, and
-/// `H(Σ wᵢ Pᵢ) >= Σ wᵢ H(Pᵢ) >= min H(Pᵢ)`. With `ts > 0` the model is
-/// still not monotone: an ancestor re-admits suppressed tuples (see the
-/// module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EntropyLDiversity {
-    /// Entropy threshold, as `ln l`.
-    pub l: u32,
-}
-
-impl EntropyLDiversity {
-    /// The group's Shannon entropy in nats: `ln n − (Σ c·ln c)/n`.
-    fn entropy_nats(counts: &[(u32, u32)], group_size: u32) -> f64 {
-        if group_size == 0 {
-            return 0.0;
-        }
-        let n = f64::from(group_size);
-        let weighted: f64 = counts
-            .iter()
-            .map(|&(_, c)| {
-                let c = f64::from(c);
-                c * c.ln()
-            })
-            .sum();
-        (n.ln() - weighted / n).max(0.0)
-    }
-}
-
-impl PrivacyModel for EntropyLDiversity {
-    fn name(&self) -> &'static str {
-        "entropy-l"
-    }
-
-    fn conditions_p(&self) -> u32 {
-        self.l
-    }
-
-    fn mode(&self) -> GroupCheckMode {
-        GroupCheckMode::Histogram {
-            needs_global: false,
-        }
-    }
-
-    fn check_group(
-        &self,
-        counts: &[(u32, u32)],
-        group_size: u32,
-        _global: Option<&CodeDistribution>,
-    ) -> GroupVerdict {
-        let h = Self::entropy_nats(counts, group_size);
-        let threshold = f64::from(self.l).ln();
-        GroupVerdict {
-            passes: h + METRIC_EPSILON >= threshold,
-            metric: (h * FIXED_POINT_SCALE).round() as u64,
-        }
-    }
-
-    fn node_detail(&self, min_metric: u64, _max_metric: u64) -> ModelDetail {
-        ModelDetail::MinEntropyMicroNats(min_metric)
-    }
-}
-
-/// t-closeness with the equal-distance ground metric, where EMD degenerates
-/// to half the L1 distance between the group's and the table's
-/// confidential distributions (the flat-hierarchy case of Soria-Comas et
-/// al.'s microaggregation t-closeness). Merging groups never raises the
-/// maximum distance, because total variation distance is jointly convex: a
-/// merged group's distance to the table distribution is at most the
-/// maximum of its parts'. With `ts > 0` the model is still not monotone:
-/// an ancestor re-admits suppressed tuples (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TCloseness {
-    /// The threshold `t` in parts-per-million.
-    pub t_ppm: u32,
-}
-
-impl TCloseness {
-    /// Equal-distance EMD of the group against `global`: `0.5·Σ|gᵢ − Gᵢ|`
-    /// computed from the group's touched codes only, since every code
-    /// absent from the group contributes exactly its global mass.
-    fn emd(counts: &[(u32, u32)], group_size: u32, global: &CodeDistribution) -> f64 {
-        if group_size == 0 || global.total() == 0 {
-            return 0.0;
-        }
-        let n = f64::from(group_size);
-        let mut touched = 0.0f64;
-        for &(code, count) in counts {
-            let g = f64::from(count) / n;
-            let q = global.fraction(code);
-            touched += (g - q).abs() - q;
-        }
-        (0.5 * (touched + 1.0)).clamp(0.0, 1.0)
-    }
-}
-
-impl PrivacyModel for TCloseness {
-    fn name(&self) -> &'static str {
-        "t-closeness"
-    }
-
-    fn conditions_p(&self) -> u32 {
-        1
-    }
-
-    fn mode(&self) -> GroupCheckMode {
-        GroupCheckMode::Histogram { needs_global: true }
-    }
-
-    fn check_group(
-        &self,
-        counts: &[(u32, u32)],
-        group_size: u32,
-        global: Option<&CodeDistribution>,
-    ) -> GroupVerdict {
-        let global = global.expect("t-closeness needs the whole-table distribution");
-        let emd = Self::emd(counts, group_size, global);
-        let threshold = f64::from(self.t_ppm) / FIXED_POINT_SCALE;
-        GroupVerdict {
-            passes: emd <= threshold + METRIC_EPSILON,
-            metric: (emd * FIXED_POINT_SCALE).round() as u64,
-        }
-    }
-
-    fn node_detail(&self, _min_metric: u64, max_metric: u64) -> ModelDetail {
-        ModelDetail::MaxEmdPpm(max_metric.min(u64::from(u32::MAX)) as u32)
-    }
-}
-
 /// Result of the table-level model check (the model-generic analogue of
 /// [`crate::psensitive::check_p_sensitivity`]): k-anonymity over the keys,
 /// plus the model's per-group property on every confidential attribute.
@@ -541,6 +413,9 @@ pub struct TableModelReport {
     pub n_groups: usize,
     /// `(group, attribute)` pairs failing the model's per-group property.
     pub violating_pairs: usize,
+    /// Ids of the QI-groups with at least one failing attribute, ascending.
+    /// Ids are [`GroupBy::compute`]'s first-appearance ids over `keys`.
+    pub failing_groups: Vec<usize>,
     /// Extremal per-group metric the scan observed (absent when there are
     /// no groups or no confidential attributes).
     pub detail: Option<ModelDetail>,
@@ -555,18 +430,19 @@ impl TableModelReport {
 
 /// Checks `model` (plus k-anonymity) on a materialized table — the slow,
 /// simple oracle behind `psens check --model` and the PRAM backend's
-/// convergence loop. Groups by `keys`, then feeds each group's histogram
-/// of each confidential attribute to [`PrivacyModel::check_group`].
+/// repair loop. Groups by `keys`, then feeds each group's histogram of
+/// each confidential attribute to [`ModelSpec::check_group`].
 pub fn check_table_model(
     table: &Table,
     keys: &[usize],
     confidential: &[usize],
-    model: &dyn PrivacyModel,
+    model: &ModelSpec,
     k: u32,
 ) -> TableModelReport {
     let groups = GroupBy::compute(table, keys);
     let k_anonymous = groups.rows_in_small_groups(k) == 0;
     let mut violating_pairs = 0usize;
+    let mut failing = vec![false; groups.n_groups()];
     let mut min_metric = u64::MAX;
     let mut max_metric = 0u64;
     let mut any = false;
@@ -604,6 +480,7 @@ pub fn check_table_model(
             max_metric = max_metric.max(verdict.metric);
             if !verdict.passes {
                 violating_pairs += 1;
+                failing[g] = true;
             }
         }
     }
@@ -611,6 +488,7 @@ pub fn check_table_model(
         k_anonymous,
         n_groups: groups.n_groups(),
         violating_pairs,
+        failing_groups: (0..failing.len()).filter(|&g| failing[g]).collect(),
         detail: any.then(|| model.node_detail(min_metric, max_metric)),
     }
 }
@@ -655,18 +533,26 @@ mod tests {
         ] {
             let back = ModelSpec::from_parts(spec.name(), spec.param()).unwrap();
             assert_eq!(back, spec);
-            assert_eq!(back.instantiate().name(), spec.name());
         }
         assert!(ModelSpec::from_parts("k-map", 2).is_err());
         assert!(ModelSpec::from_parts("psens-k", u64::from(u32::MAX) + 1).is_err());
+        // t <= 1: t_ppm tops out at 1,000,000; p and l only at u32::MAX.
+        assert_eq!(
+            ModelSpec::from_parts("t-closeness", 1_000_000),
+            Ok(ModelSpec::TCloseness { t_ppm: 1_000_000 })
+        );
+        let err = ModelSpec::from_parts("t-closeness", 1_000_001).unwrap_err();
+        assert!(err.contains("t_ppm=1000001"), "{err}");
+        assert!(ModelSpec::from_parts("distinct-l", u64::from(u32::MAX)).is_ok());
     }
 
     #[test]
     fn psens_and_distinct_l_share_the_distinct_predicate() {
-        let psens = PSensitiveK { p: 2 };
-        let dl = DistinctLDiversity { l: 2 };
         let counts = [(0u32, 3u32), (4, 1)];
-        for model in [&psens as &dyn PrivacyModel, &dl] {
+        for model in [
+            ModelSpec::PSensitiveK { p: 2 },
+            ModelSpec::DistinctL { l: 2 },
+        ] {
             let v = model.check_group(&counts, 4, None);
             assert!(v.passes);
             assert_eq!(v.metric, 2);
@@ -677,7 +563,7 @@ mod tests {
 
     #[test]
     fn entropy_matches_closed_forms() {
-        let model = EntropyLDiversity { l: 2 };
+        let model = ModelSpec::EntropyL { l: 2 };
         // Uniform over 2 values: H = ln 2 ≈ 0.693147 — exactly the l=2
         // threshold.
         let v = model.check_group(&[(0, 2), (1, 2)], 4, None);
@@ -693,13 +579,13 @@ mod tests {
         assert!(v.passes);
         assert_eq!(v.metric, 1_039_721);
         assert!(
-            !EntropyLDiversity { l: 3 }
+            !ModelSpec::EntropyL { l: 3 }
                 .check_group(&[(0, 2), (1, 1), (2, 1)], 4, None)
                 .passes
         );
         // l = 1: threshold ln 1 = 0, everything passes.
         assert!(
-            EntropyLDiversity { l: 1 }
+            ModelSpec::EntropyL { l: 1 }
                 .check_group(&[(0, 5)], 5, None)
                 .passes
         );
@@ -711,7 +597,7 @@ mod tests {
         let global = CodeDistribution::from_codes([0, 0, 1, 2].into_iter(), 3);
         // A homogeneous all-code-0 group: EMD = 0.5·(|1 − 1/2| + 1/4 + 1/4)
         // = 0.5.
-        let model = TCloseness { t_ppm: 400_000 };
+        let model = ModelSpec::TCloseness { t_ppm: 400_000 };
         let v = model.check_group(&[(0, 4)], 4, Some(&global));
         assert!(!v.passes, "EMD 0.5 exceeds t = 0.4");
         assert_eq!(v.metric, 500_000);
@@ -720,7 +606,7 @@ mod tests {
         assert!(v.passes);
         assert_eq!(v.metric, 0);
         // t = 0.5 admits the homogeneous group exactly at the boundary.
-        let at = TCloseness { t_ppm: 500_000 };
+        let at = ModelSpec::TCloseness { t_ppm: 500_000 };
         assert!(at.check_group(&[(0, 4)], 4, Some(&global)).passes);
     }
 
@@ -731,7 +617,7 @@ mod tests {
         let conf = t.schema().confidential_indices();
         for p in [1u32, 2, 3] {
             for k in [1u32, 3, 4] {
-                let report = check_table_model(&t, &keys, &conf, &PSensitiveK { p }, k);
+                let report = check_table_model(&t, &keys, &conf, &ModelSpec::PSensitiveK { p }, k);
                 assert_eq!(
                     report.satisfied(),
                     crate::psensitive::is_p_sensitive_k_anonymous(&t, &keys, &conf, p, k),
@@ -740,7 +626,7 @@ mod tests {
             }
         }
         // Table 3's minimum distinct count is 1 (the first group's Income).
-        let report = check_table_model(&t, &keys, &conf, &PSensitiveK { p: 2 }, 3);
+        let report = check_table_model(&t, &keys, &conf, &ModelSpec::PSensitiveK { p: 2 }, 3);
         assert_eq!(report.detail, Some(ModelDetail::MinDistinct(1)));
         assert_eq!(report.n_groups, 2);
     }

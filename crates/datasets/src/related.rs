@@ -1,5 +1,5 @@
-//! Worked examples from the successor papers whose models the
-//! [`psens_core::PrivacyModel`] trait hosts: the l-diversity inpatient
+//! Worked examples from the successor papers whose models
+//! `psens_core::ModelSpec` covers: the l-diversity inpatient
 //! tables (Machanavajjhala et al., ICDE 2006) and the t-closeness salary
 //! table (Li et al., ICDE 2007). They are the golden inputs for the
 //! per-model metric tests in `psens-metrics`.

@@ -7,8 +7,8 @@
 //! group, so an intruder learns "low income" despite 3-diversity. The earth
 //! mover's distance here uses the equal-distance ground metric (every pair
 //! of values one unit apart), where EMD degenerates to half the L1 distance
-//! — the same measure `psens_core::TCloseness` enforces, kept in floating
-//! point for reporting.
+//! — the same measure `psens_core::ModelSpec::TCloseness` enforces, kept in
+//! floating point for reporting.
 
 use psens_microdata::{GroupBy, Table};
 use serde::Serialize;
@@ -74,7 +74,7 @@ pub fn closeness_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psens_core::{CodeDistribution, PrivacyModel, TCloseness, FIXED_POINT_SCALE};
+    use psens_core::{CodeDistribution, ModelSpec, FIXED_POINT_SCALE};
     use psens_microdata::{table_from_str_rows, Attribute, Schema};
 
     fn table(rows: &[&[&str]]) -> Table {
@@ -124,7 +124,7 @@ mod tests {
         let report = closeness_report(&t, &[0], 1).unwrap();
         let (codes, n_codes) = t.column(1).dense_codes();
         let global = CodeDistribution::from_codes(codes.iter().copied(), n_codes);
-        let model = TCloseness { t_ppm: 1_000_000 };
+        let model = ModelSpec::TCloseness { t_ppm: 1_000_000 };
         // Group A: codes (x,x,y); group B: codes (y,z).
         let a = model.check_group(&[(0, 2), (1, 1)], 3, Some(&global));
         let b = model.check_group(&[(1, 1), (2, 1)], 2, Some(&global));

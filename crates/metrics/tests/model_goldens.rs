@@ -7,9 +7,7 @@
 //! and once through the enforcing `psens_core` models, so the two stacks
 //! can never drift apart silently.
 
-use psens_core::{
-    check_table_model, DistinctLDiversity, EntropyLDiversity, ModelDetail, TCloseness,
-};
+use psens_core::{check_table_model, ModelDetail, ModelSpec};
 use psens_datasets::related;
 use psens_metrics::{closeness_report, diversity_report};
 
@@ -26,7 +24,7 @@ fn ldiv_table2_exhibits_the_homogeneity_attack() {
     // The enforcing model agrees: distinct 2-diversity fails even though
     // 4-anonymity holds.
     let conf = t.schema().confidential_indices();
-    let model = check_table_model(&t, &keys, &conf, &DistinctLDiversity { l: 2 }, 4);
+    let model = check_table_model(&t, &keys, &conf, &ModelSpec::DistinctL { l: 2 }, 4);
     assert!(model.k_anonymous);
     assert_eq!(model.violating_pairs, 1, "exactly the Cancer group");
     assert_eq!(model.detail, Some(ModelDetail::MinDistinct(1)));
@@ -52,10 +50,10 @@ fn ldiv_table4_goldens_split_distinct_from_entropy() {
     assert!((report.max_confidence - 0.5).abs() < 1e-12);
     // Enforcement: distinct 3-diversity holds, entropy 3-diversity does
     // not (2√2 < 3), entropy 2-diversity does.
-    assert!(check_table_model(&t, &keys, &conf, &DistinctLDiversity { l: 3 }, 4).satisfied());
-    let entropy3 = check_table_model(&t, &keys, &conf, &EntropyLDiversity { l: 3 }, 4);
+    assert!(check_table_model(&t, &keys, &conf, &ModelSpec::DistinctL { l: 3 }, 4).satisfied());
+    let entropy3 = check_table_model(&t, &keys, &conf, &ModelSpec::EntropyL { l: 3 }, 4);
     assert_eq!(entropy3.violating_pairs, 3, "all three groups miss ln 3");
-    let entropy2 = check_table_model(&t, &keys, &conf, &EntropyLDiversity { l: 2 }, 4);
+    let entropy2 = check_table_model(&t, &keys, &conf, &ModelSpec::EntropyL { l: 2 }, 4);
     assert!(entropy2.satisfied());
     // H = 1.5·ln 2 = 1.039720… nats, in micro-nats on the wire.
     assert_eq!(
@@ -75,7 +73,7 @@ fn tclose_table3_goldens_split_diversity_from_closeness() {
     let keys = t.schema().key_indices();
     let conf = t.schema().confidential_indices();
     // Distinct 3-diversity holds on both confidential attributes.
-    assert!(check_table_model(&t, &keys, &conf, &DistinctLDiversity { l: 3 }, 3).satisfied());
+    assert!(check_table_model(&t, &keys, &conf, &ModelSpec::DistinctL { l: 3 }, 3).satisfied());
     // Salary (attribute 2): nine distinct values, three per group.
     let salary = closeness_report(&t, &keys, 2).unwrap();
     assert!((salary.max_emd - 2.0 / 3.0).abs() < 1e-12);
@@ -87,9 +85,21 @@ fn tclose_table3_goldens_split_diversity_from_closeness() {
     // Enforcement across both attributes: the salary distance 2/3 is the
     // table's worst, so t = 0.67 admits the release and t = 0.66 rejects
     // it.
-    let admit = check_table_model(&t, &keys, &conf, &TCloseness { t_ppm: 670_000 }, 3);
+    let admit = check_table_model(
+        &t,
+        &keys,
+        &conf,
+        &ModelSpec::TCloseness { t_ppm: 670_000 },
+        3,
+    );
     assert!(admit.satisfied());
     assert_eq!(admit.detail, Some(ModelDetail::MaxEmdPpm(666_667)));
-    let reject = check_table_model(&t, &keys, &conf, &TCloseness { t_ppm: 660_000 }, 3);
+    let reject = check_table_model(
+        &t,
+        &keys,
+        &conf,
+        &ModelSpec::TCloseness { t_ppm: 660_000 },
+        3,
+    );
     assert_eq!(reject.violating_pairs, 3, "every group's salary is too far");
 }

@@ -724,29 +724,21 @@ fn param_bool(
 /// Parses the request's privacy model: optional `model` name (default
 /// `psens-k`) plus its parameter — `p` for psens-k (default `default_p`,
 /// which differs between ops for compatibility), `l` for the diversity
-/// models, `t_ppm` (parts-per-million of t) for t-closeness.
+/// models, `t_ppm` (parts-per-million of t) for t-closeness. The spec is
+/// built by [`ModelSpec::from_parts`], which also checks its range.
 fn param_model(request: &JsonValue, default_p: u32) -> Result<ModelSpec, (&'static str, String)> {
     let name = match request.get("model") {
         Some(value) => value.as_str().map_err(|e| bad(format!("`model`: {e}")))?,
         None => "psens-k",
     };
-    match name {
-        "psens-k" => Ok(ModelSpec::PSensitiveK {
-            p: param_u32(request, "p", default_p)?,
-        }),
-        "distinct-l" => Ok(ModelSpec::DistinctL {
-            l: param_u32(request, "l", 2)?,
-        }),
-        "entropy-l" => Ok(ModelSpec::EntropyL {
-            l: param_u32(request, "l", 2)?,
-        }),
-        "t-closeness" => Ok(ModelSpec::TCloseness {
-            t_ppm: param_u32(request, "t_ppm", 200_000)?,
-        }),
-        other => Err(bad(format!(
-            "unknown privacy model `{other}` (expected psens-k, distinct-l, entropy-l, or t-closeness)"
-        ))),
-    }
+    let (key, default) = match name {
+        "psens-k" => ("p", default_p),
+        "distinct-l" | "entropy-l" => ("l", 2),
+        "t-closeness" => ("t_ppm", 200_000),
+        // Not a model name: `from_parts` reports it.
+        _ => return ModelSpec::from_parts(name, 0).map_err(bad),
+    };
+    ModelSpec::from_parts(name, u64::from(param_u32(request, key, default)?)).map_err(bad)
 }
 
 fn lookup_dataset(
@@ -917,8 +909,7 @@ fn check_op(state: &ServerState, request: &JsonValue) -> OpResult {
             result.set("satisfied", JsonValue::Bool(report.satisfied()));
         }
         _ => {
-            let model = spec.instantiate();
-            let report = check_table_model(&table, &keys, &conf, model.as_ref(), k);
+            let report = check_table_model(&table, &keys, &conf, &spec, k);
             result.set("n_groups", JsonValue::Int(report.n_groups as i64));
             result.set("k", JsonValue::Int(k as i64));
             result.set("p", JsonValue::Int(spec.conditions_p() as i64));

@@ -133,6 +133,31 @@ fn register_errors_are_typed() {
 }
 
 #[test]
+fn model_parameters_out_of_range_are_bad_requests() {
+    let (_handle, mut client) = registered_server(2);
+    let t_closeness = |t_ppm: i64| {
+        let mut p = anonymize_params(&[]);
+        p.set("model", JsonValue::Str("t-closeness".into()));
+        p.set("t_ppm", JsonValue::Int(t_ppm));
+        p
+    };
+    // t = 5 is no threshold: the same range the CLI's `--t` enforces.
+    for op in ["check", "anonymize", "watch"] {
+        let err = client.call_ok(op, t_closeness(5_000_000)).unwrap_err();
+        assert!(err.starts_with(&format!("{op}: bad_request:")), "{err}");
+        assert!(err.contains("t_ppm=5000000"), "{err}");
+    }
+    let check = client.call_ok("check", t_closeness(1_000_000)).unwrap();
+    assert_eq!(check.require("param").unwrap().as_u64().unwrap(), 1_000_000);
+
+    let mut unknown = anonymize_params(&[]);
+    unknown.set("model", JsonValue::Str("k-map".into()));
+    let err = client.call_ok("check", unknown).unwrap_err();
+    assert!(err.starts_with("check: bad_request:"), "{err}");
+    assert!(err.contains("unknown privacy model `k-map`"), "{err}");
+}
+
+#[test]
 fn anonymize_warm_store_replays_verdicts() {
     let (_handle, mut client) = registered_server(2);
 

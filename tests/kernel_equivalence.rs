@@ -17,7 +17,9 @@
 use proptest::prelude::*;
 use psens::core::evaluator::{EvalContext, NodeCheck};
 use psens::core::masking::{MaskOutcome, MaskingContext};
-use psens::core::{check_table_model, CheckStage, GroupCheckMode, ModelSpec, NoopObserver};
+use psens::core::{
+    check_table_model, CheckStage, CodeDistribution, GroupCheckMode, ModelSpec, NoopObserver,
+};
 use psens::datasets::hierarchies::adult_wide_qi_space;
 use psens::datasets::AdultGenerator;
 use psens::prelude::*;
@@ -181,13 +183,53 @@ fn mixed_order(lattice: &Lattice, height: usize, picks: &[(prop::sample::Index, 
     order
 }
 
+/// The QI-groups of `table` (first-appearance ids over `keys`) in which
+/// some confidential attribute fails `spec`, found by a direct loop: each
+/// group's histogram is tallied from that group's rows alone.
+fn groups_failing_by_loop(
+    table: &Table,
+    keys: &[usize],
+    conf: &[usize],
+    spec: ModelSpec,
+) -> Vec<usize> {
+    let rows_by_group = GroupBy::compute(table, keys).rows_by_group();
+    let columns: Vec<_> = conf
+        .iter()
+        .map(|&attr| {
+            let (codes, n_codes) = table.column(attr).dense_codes();
+            let global = CodeDistribution::from_codes(codes.iter().copied(), n_codes);
+            (codes, n_codes, global)
+        })
+        .collect();
+    (0..rows_by_group.len())
+        .filter(|&g| {
+            let rows = &rows_by_group[g];
+            columns.iter().any(|(codes, n_codes, global)| {
+                let mut hist = vec![0u32; *n_codes as usize];
+                for &row in rows {
+                    hist[codes[row as usize] as usize] += 1;
+                }
+                let counts: Vec<(u32, u32)> = (0..*n_codes)
+                    .filter(|&code| hist[code as usize] > 0)
+                    .map(|code| (code, hist[code as usize]))
+                    .collect();
+                !spec
+                    .check_group(&counts, rows.len() as u32, Some(global))
+                    .passes
+            })
+        })
+        .collect()
+}
+
 /// Asserts that `MaskingContext::evaluate` agrees with a kernel check on
 /// every field it reports. It checks p-sensitivity at the model's
 /// `conditions_p`, which is the distinct-count models' own predicate. A
 /// histogram model's verdict agrees with it up to the k-anonymity stage;
 /// past it, the oracle is the model's check of the materialized release —
 /// except for t-closeness after suppression, since the kernel measures
-/// distance to the whole table's distribution, not the release's.
+/// distance to the whole table's distribution, not the release's. Under
+/// every model, that check's failing groups are the ones a direct
+/// per-group loop flags.
 fn assert_matches_materialized(
     fast: &NodeCheck,
     slow: &MaskOutcome,
@@ -204,9 +246,18 @@ fn assert_matches_materialized(
     );
     prop_assert_eq!(fast.suppressed, slow.suppressed, "suppressed: {}", &setting);
     prop_assert_eq!(fast.n_groups, slow.n_groups, "n_groups: {}", &setting);
-    let model = spec.instantiate();
+    let masked = &slow.masked;
+    let keys = masked.schema().key_indices();
+    let conf = masked.schema().confidential_indices();
+    let oracle = check_table_model(masked, &keys, &conf, &spec, k);
+    prop_assert_eq!(
+        &oracle.failing_groups,
+        &groups_failing_by_loop(masked, &keys, &conf, spec),
+        "failing groups: {}",
+        &setting
+    );
     let scanned = matches!(fast.stage, CheckStage::DetailedScan | CheckStage::Passed);
-    match model.mode() {
+    match spec.mode() {
         GroupCheckMode::Histogram { needs_global } if scanned => {
             prop_assert!(
                 matches!(slow.stage, CheckStage::DetailedScan | CheckStage::Passed),
@@ -215,14 +266,6 @@ fn assert_matches_materialized(
                 slow.stage
             );
             if !needs_global || fast.suppressed == 0 {
-                let masked = &slow.masked;
-                let oracle = check_table_model(
-                    masked,
-                    &masked.schema().key_indices(),
-                    &masked.schema().confidential_indices(),
-                    model.as_ref(),
-                    k,
-                );
                 prop_assert_eq!(fast.satisfied, oracle.satisfied(), "model: {}", &setting);
             }
         }
